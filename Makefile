@@ -48,6 +48,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapWordScan -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzBuildCSR$$' -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgesText$$' -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=$(FUZZTIME) ./internal/graph500/
+	$(GO) test -run='^$$' -fuzz='^FuzzResume$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt/
 
 # resume-smoke drives the full CLI walkthrough of docs/CHAOS.md: kill a

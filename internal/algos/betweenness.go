@@ -430,7 +430,9 @@ func (b *bcNode) RestoreState(data []byte) error {
 	copy(b.dist, c.Dist)
 	copy(b.sigma, ckpt.BitsToFloat64s(c.SigmaBits))
 	copy(b.deltaFix, c.DeltaFix)
-	b.frontier.LoadWords(c.Frontier)
+	if err := b.frontier.LoadWords(c.Frontier); err != nil {
+		return fmt.Errorf("betweenness state: frontier: %w", err)
+	}
 	b.count = c.Count
 	b.depth = c.Depth
 	b.maxDepth = c.MaxDepth

@@ -278,6 +278,12 @@ func (d *deltaNode) RestoreState(data []byte) error {
 	if len(c.Dist) != len(d.dist) {
 		return fmt.Errorf("delta-sssp state: %d distances, partition gives %d", len(c.Dist), len(d.dist))
 	}
+	if err := checkLocals("delta-sssp state: light requests", c.LightReq, len(d.dist)); err != nil {
+		return err
+	}
+	if err := checkLocals("delta-sssp state: heavy set", c.HeavySet, len(d.dist)); err != nil {
+		return err
+	}
 	copy(d.dist, c.Dist)
 	d.curBucket = c.CurBucket
 	d.phase = deltaPhase(c.Phase)

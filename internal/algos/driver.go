@@ -13,35 +13,30 @@
 // vertices, the transport batches and delivers them, handlers fold them
 // into local state, and a sum-allreduce decides termination.
 //
-// The driver mirrors the BFS runner's operational contract (see
-// docs/ALGORITHMS.md): live per-round events on the ProgressBroker, a
-// reconciling RunTrace plus generator/handler module spans per run,
-// chaos-injected faults with bounded retries, a per-round watchdog, and
-// clean *core.AbortError teardown with the completed rounds attached.
+// The driver's loop runs inside the same core.Session as the BFS runner's
+// (see docs/ALGORITHMS.md), so both share one copy of the operational
+// contract: chaos-injected faults with bounded retries, the level
+// watchdog, clean *core.AbortError teardown with the completed rounds,
+// the flight recorder's post-mortem, the per-round accounting window and
+// the checkpoint latch. The driver adds live per-round events, a
+// reconciling RunTrace and generator/handler module spans per run.
 package algos
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
 	"swbfs/internal/core"
-	"swbfs/internal/fabric"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 	"swbfs/internal/perf"
-	"swbfs/internal/sw"
 )
 
 // DefaultMaxRounds guards against non-converging algorithm bugs.
 const DefaultMaxRounds = 100000
-
-var errAborted = errors.New("algos: run aborted by peer failure")
 
 // NodeCtx is one node's view of the machine, handed to algorithm
 // constructors.
@@ -125,32 +120,16 @@ func (r *RunInfo) MTEPS(edges int64) float64 {
 	return float64(edges) / r.Time / 1e6
 }
 
-// runState is the cross-node shared state of one driver run.
-type runState struct {
-	mu   sync.Mutex
-	info *RunInfo
-	// lastSnap is node 0's counter snapshot after the final recorded
-	// round; the delta to the end-of-run totals is the termination
-	// traffic (the final emptiness allreduce) the trace reports
-	// separately so its books balance.
-	lastSnap fabric.Snapshot
-	// roundTick feeds the watchdog: node 0 advances it once per
-	// completed round.
-	roundTick atomic.Int64
-}
-
 // Run executes one algorithm on the simulated machine described by cfg
 // over graph g. makeAlgo constructs each node's instance.
 //
-// The run is driven through the same instrumented, chaos-aware path as
-// the BFS engine: cfg.Chaos faults inject into every send, cfg.LevelTimeout
-// arms a per-round watchdog, cfg.Obs receives live round events, a
-// reconciling RunTrace and module spans, and a torn-down run returns a
-// *core.AbortError carrying the original cause and the completed rounds.
+// The run is driven through a core.Session, the BFS engine's own run
+// contract: cfg.Chaos faults inject into every send, cfg.LevelTimeout arms
+// the level watchdog (a level is a round here), cfg.Obs receives live
+// round events, a reconciling RunTrace and module spans, and a torn-down
+// run returns a *core.AbortError carrying the original cause and the
+// completed rounds.
 func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *NodeCtx) (RoundAlgo, error)) (*RunInfo, error) {
-	if err := core.ValidateConfig(cfg); err != nil {
-		return nil, err
-	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
@@ -159,12 +138,15 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 	if kernel == "" {
 		kernel = "algo"
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = sw.DefaultWorkers(cfg.Nodes)
-	}
-	workers = sw.ClampWorkers(workers)
 
+	// The driver always lays vertices out round-robin (cfg.Partition is a
+	// BFS-engine knob), so the checkpoint identity records that.
+	cfg.Partition = core.PartitionRoundRobin
+	s, err := core.OpenSession(cfg, g, core.SessionSpec{Kernel: kernel, Root: opts.Root, Resume: opts.Resume})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	if pb := cfg.Obs.ProgressOf(); pb != nil {
 		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(opts.Root), Kernel: kernel})
 	}
@@ -172,117 +154,9 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 		sr.BeginRun(int64(opts.Root))
 	}
 
-	resume := opts.Resume
-	mcfg := driverMachineConfig(cfg, g)
-	if resume != nil {
-		if err := validateResume(resume, kernel, opts.Root, mcfg, cfg.Nodes); err != nil {
-			return nil, err
-		}
-	}
-
-	// Flight recording is always on, exactly as in the BFS runner: shared
-	// via the observer when attached there, private otherwise. A resume
-	// reloads the checkpoint's rings instead of opening a new run, so the
-	// post-resume dump covers the pre-checkpoint events under the original
-	// run index.
-	flight := cfg.Obs.FlightOf()
-	if flight == nil {
-		flight = obs.NewFlightRecorder(0)
-	}
-	if resume == nil {
-		flight.BeginRun(int64(opts.Root), kernel, cfg.Nodes, cfg.Transport.String())
-	} else {
-		flight.RestoreState(resume.Machine.Flight)
-	}
-
-	// The injector is rebuilt per run so every Run against the same plan
-	// replays the same faults — the determinism contract of docs/CHAOS.md,
-	// identical to the BFS runner's per-root rebuild. A resume seeds the
-	// log with the checkpoint's already-fired faults (and consumes them
-	// from the schedule) so the final Injections match an uninterrupted
-	// run; with no plan but a non-empty seeded log, an empty-schedule
-	// injector still reports them.
-	var inj *chaos.Injector
-	if cfg.Chaos != nil {
-		inj = chaos.NewInjector(*cfg.Chaos, cfg.Obs.MetricsOf())
-		inj.SetFlight(flight)
-	} else if resume != nil && len(resume.Machine.Injections) > 0 {
-		inj = chaos.NewInjector(chaos.Plan{}, cfg.Obs.MetricsOf())
-		inj.SetFlight(flight)
-	}
-	if inj != nil && resume != nil {
-		inj.SeedLog(resume.Machine.Injections)
-	}
-
+	net := s.Network()
+	workers := s.Workers()
 	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	net, err := comm.NewNetwork(comm.Config{
-		Nodes:           cfg.Nodes,
-		SuperNodeSize:   cfg.SuperNodeSize,
-		BatchBytes:      cfg.BatchBytes,
-		MPIMemoryBudget: cfg.MPIMemoryBudget,
-		Codec:           cfg.Codec,
-		CodecBackward:   cfg.CodecBackward,
-		Chaos:           inj,
-		Flight:          flight,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer net.Close()
-
-	shape := comm.GroupShape{}
-	if cfg.Transport == core.TransportRelay {
-		if cfg.GroupM > 0 {
-			shape, err = comm.NewGroupShape(cfg.Nodes, cfg.GroupM)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			super := cfg.SuperNodeSize
-			if super <= 0 {
-				super = 256
-			}
-			shape = comm.DefaultGroupShape(cfg.Nodes, super)
-		}
-	}
-
-	st := &runState{info: &RunInfo{}}
-	startRound := 0
-	if resume != nil {
-		startRound = resume.Level
-		st.info.Levels = append([]perf.LevelStats(nil), resume.Machine.Levels...)
-		st.lastSnap = resume.Machine.LastSnap
-		st.roundTick.Store(int64(startRound))
-		if err := net.RestoreState(resume.Machine.Net); err != nil {
-			return nil, err
-		}
-	}
-
-	// The checkpoint latch: every boundary is captured in memory (backing
-	// /debug/checkpoint and the abort auto-checkpoint); every
-	// CheckpointEvery-th one is written to CheckpointPath. On a resume with
-	// checkpointing off, the latch still carries the source checkpoint so a
-	// second abort reports the newest usable boundary.
-	var ck *driverCkpt
-	if cfg.CheckpointEvery > 0 || resume != nil {
-		ck = &driverCkpt{
-			every:  cfg.CheckpointEvery,
-			path:   cfg.CheckpointPath,
-			kernel: kernel,
-			root:   int64(opts.Root),
-			nodes:  cfg.Nodes,
-			config: mcfg,
-			net:    net,
-			inj:    inj,
-			flight: flight,
-			st:     st,
-			latest: resume,
-		}
-		if cfg.CheckpointEvery > 0 && cfg.Obs != nil {
-			cfg.Obs.Checkpoint = ck
-		}
-	}
-
 	nodes := make([]*nodeRun, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		ctx := &NodeCtx{
@@ -296,151 +170,42 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 		if err != nil {
 			return nil, fmt.Errorf("algos: node %d: %w", i, err)
 		}
-		var ep comm.Endpoint
-		if cfg.Transport == core.TransportRelay {
-			rep, err := comm.NewRelayEndpoint(net, i, shape)
-			if err != nil {
-				return nil, err
-			}
-			rep.SetFlowSink(cfg.Obs.SpansOf())
-			ep = rep
-		} else {
-			ep = comm.NewDirectEndpoint(net, i)
+		ep, err := s.Endpoint(i)
+		if err != nil {
+			return nil, err
 		}
 		nodes[i] = &nodeRun{
-			ctx: ctx, algo: algo, ep: ep, net: net, st: st,
-			maxRounds:  maxRounds,
-			startRound: startRound,
-			kernel:     kernel,
-			root:       int64(opts.Root),
-			progress:   cfg.Obs.ProgressOf(),
-			keepSpans:  cfg.Obs.SpansOf() != nil,
-			flight:     flight,
-			ck:         ck,
+			ctx: ctx, algo: algo, ep: ep, sess: s,
+			maxRounds: maxRounds,
+			kernel:    kernel,
+			root:      int64(opts.Root),
+			progress:  cfg.Obs.ProgressOf(),
+			keepSpans: cfg.Obs.SpansOf() != nil,
 		}
-		if cfg.CheckpointEvery > 0 {
+		if cfg.CheckpointEvery > 0 || opts.Resume != nil {
 			if _, ok := algo.(Checkpointer); !ok {
-				return nil, fmt.Errorf("algos: kernel %q does not implement Checkpointer; cannot checkpoint", kernel)
+				return nil, fmt.Errorf("algos: kernel %q does not implement Checkpointer; cannot checkpoint or resume", kernel)
 			}
 		}
-		if resume != nil {
-			if err := nodes[i].restoreNode(resume.Nodes[i].Data); err != nil {
+		if opts.Resume != nil {
+			if err := nodes[i].restoreNode(opts.Resume.Nodes[i].Data); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Per-round watchdog: if node 0's tick stops advancing for a whole
-	// timeout window, poison the network so every blocked module unwinds —
-	// the same recovery knob the BFS runner arms (core.ErrLevelTimeout).
-	var watchdogErr chan error
-	var watchdogStop chan struct{}
-	if cfg.LevelTimeout > 0 {
-		watchdogErr = make(chan error, 1)
-		watchdogStop = make(chan struct{})
-		if resume == nil {
-			// A resumed run's restored rings already hold the arm event.
-			flight.Control(obs.FlightWatchdogArm, -1, -1, "round timeout "+cfg.LevelTimeout.String())
-		}
-		go func() {
-			t := time.NewTicker(cfg.LevelTimeout)
-			defer t.Stop()
-			last := st.roundTick.Load()
-			for {
-				select {
-				case <-watchdogStop:
-					return
-				case <-t.C:
-					cur := st.roundTick.Load()
-					if cur != last {
-						last = cur
-						continue
-					}
-					flight.Control(obs.FlightWatchdogFire, -1, int(cur),
-						"no round completed within "+cfg.LevelTimeout.String())
-					watchdogErr <- fmt.Errorf("%w: no round completed within %s",
-						core.ErrLevelTimeout, cfg.LevelTimeout)
-					net.Abort()
-					return
-				}
-			}
-		}()
+	if err := s.Run(func(i int) error { return nodes[i].loop() }); err != nil {
+		return nil, err
 	}
 
-	errs := make([]error, cfg.Nodes)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = nodes[i].loop()
-		}(i)
-	}
-	wg.Wait()
-	if watchdogStop != nil {
-		close(watchdogStop)
-	}
-
-	info := st.info
-	// Consequence errors (errAborted from a peer's teardown, comm
-	// inbox-closed errors wrapping comm.ErrAborted) are filtered so the
-	// original failure surfaces as the abort cause.
-	var cause error
-	aborted := net.Aborted()
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		aborted = true
-		if cause == nil && !errors.Is(err, errAborted) && !errors.Is(err, comm.ErrAborted) {
-			cause = err
-		}
-	}
-	if aborted {
-		if cause == nil && watchdogErr != nil {
-			select {
-			case cause = <-watchdogErr:
-			default:
-			}
-		}
-		if cause == nil {
-			cause = errors.New("algos: run aborted without a reported cause")
-		}
-		ae := &core.AbortError{
-			Root:            opts.Root,
-			Cause:           cause,
-			CompletedLevels: append([]perf.LevelStats(nil), info.Levels...),
-			Injections:      inj.Log(),
-		}
-		// Post-mortem, mirroring the BFS runner: stamp the abort, drain the
-		// black box, write the dump when a path was configured, and attach
-		// the newest complete checkpoint next to it.
-		flight.Control(obs.FlightAbort, -1, len(info.Levels), cause.Error())
-		d := flight.Dump()
-		d.Aborted = true
-		d.Cause = cause.Error()
-		ae.FlightDump = d
-		if cfg.FlightDump != "" {
-			if werr := obs.WriteFlightDumpFile(cfg.FlightDump, d); werr == nil {
-				ae.FlightPath = cfg.FlightDump
-			}
-		}
-		if ck != nil {
-			ae.Checkpoint = ck.Latest()
-			ae.CheckpointPath = ck.writeAbort(cfg.FlightDump, ae.Checkpoint)
-		}
-		return nil, ae
-	}
-
-	model := perf.NewModel(net.Topo, cfg.Engine)
+	info := &RunInfo{Levels: s.Levels()}
+	model := s.Model()
 	info.Time = model.TotalTime(info.Levels)
 	info.Rounds = len(info.Levels)
 	info.NetworkBytes = net.Counters.NetworkBytes()
 	info.NetworkMessages = net.Counters.NetworkMessages()
 	info.MaxConnections = net.MaxConnectionCount()
-	if inj != nil {
-		info.Injections = inj.Log()
-	}
+	info.Injections = s.Injections()
 
 	if m := cfg.Obs.MetricsOf(); m != nil {
 		m.Counter("algos.runs").Inc()
@@ -450,19 +215,22 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 		net.MetricsInto(m)
 	}
 	if t := cfg.Obs.TraceOf(); t != nil {
-		final := net.Counters.Snapshot()
-		term := final.Sub(st.lastSnap)
-		rt := buildTrace(opts, info, model, final, term)
-		rt.CodecTraffic = net.CodecTraffic()
-		t.Record(rt)
+		t.Record(s.Trace(info.Time))
 	}
 	if sr := cfg.Obs.SpansOf(); sr != nil {
-		sr.EndRun(info.Time, buildSpans(cfg.Engine, model, info, nodes, workers), nil)
+		sr.EndRun(info.Time, s.ModuleSpans(func(node, li int) (int, []string, []int64) {
+			log := nodes[node].spanLog
+			if li >= len(log) {
+				return 0, nil, nil
+			}
+			rw := log[li]
+			return rw.round, []string{obs.ModuleForwardGenerator, obs.ModuleForwardHandler}, []int64{rw.gen, rw.handler}
+		}), nil)
 	}
 	if pb := cfg.Obs.ProgressOf(); pb != nil {
 		var edges int64
-		for _, s := range info.Levels {
-			edges += s.FrontierEdges
+		for _, st := range info.Levels {
+			edges += st.FrontierEdges
 		}
 		pb.Publish(obs.LiveEvent{
 			Kind: obs.EventRunDone, Root: int64(opts.Root), Kernel: kernel,
@@ -470,85 +238,6 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 		})
 	}
 	return info, nil
-}
-
-// buildTrace converts the run's per-round statistics into a RunTrace whose
-// books balance (RunTrace.Reconcile): round wall times sum to the run's
-// total and round byte counts plus termination traffic sum to the fabric's
-// grand total.
-func buildTrace(opts RunOptions, info *RunInfo, model perf.Model, final, term fabric.Snapshot) obs.RunTrace {
-	rt := obs.RunTrace{
-		Root:         int64(opts.Root),
-		TotalSeconds: info.Time,
-
-		TerminationCollectiveBytes: term.CollectiveBytes,
-		TerminationWireBytes:       term.NetworkBytes(),
-		TotalNetworkBytes:          final.NetworkBytes(),
-	}
-	rt.Levels = make([]obs.LevelSpan, 0, len(info.Levels))
-	for _, s := range info.Levels {
-		rt.Levels = append(rt.Levels, obs.LevelSpan{
-			Level:            s.Level,
-			Direction:        s.Direction,
-			FrontierVertices: s.FrontierVertices,
-			EdgesRelaxed:     s.FrontierEdges,
-			WallSeconds:      model.LevelTime(s),
-			Rounds:           s.Rounds,
-
-			LoopbackBytes:   s.Net.Bytes[fabric.Loopback],
-			IntraSuperBytes: s.Net.Bytes[fabric.IntraSuper],
-			InterSuperBytes: s.Net.Bytes[fabric.InterSuper],
-
-			CollectiveBytes:     s.Net.CollectiveBytes,
-			CollectiveWireBytes: s.Net.CollectiveWireBytes(),
-			CollectiveOps:       s.Net.CollectiveOps,
-
-			NetworkBytes:    s.Net.NetworkBytes(),
-			NetworkMessages: s.Net.Messages[fabric.IntraSuper] + s.Net.Messages[fabric.InterSuper],
-
-			MaxNodeProcessedBytes: s.MaxNodeProcessedBytes,
-			MaxNodeSentBytes:      s.MaxNodeSentBytes,
-		})
-	}
-	return rt
-}
-
-// buildSpans lays the run's per-node generator/handler work out on the
-// modelled timeline, exactly as the BFS runner does for its module
-// goroutines: each round's spans start at the round's start and last
-// bytes/bandwidth at the configured engine's module bandwidth.
-func buildSpans(engine perf.Engine, model perf.Model, info *RunInfo, nodes []*nodeRun, workers int) []obs.ModuleSpan {
-	bw := engine.Bandwidth()
-	attributed := 0
-	if workers > 1 {
-		attributed = workers // attribute pool width only when fanned out
-	}
-	var spans []obs.ModuleSpan
-	levelStart := 0.0
-	for li, s := range info.Levels {
-		for _, n := range nodes {
-			if li >= len(n.spanLog) {
-				continue
-			}
-			rw := n.spanLog[li]
-			if rw.gen > 0 {
-				spans = append(spans, obs.ModuleSpan{
-					Node: n.ctx.ID, Module: obs.ModuleForwardGenerator, Level: rw.round,
-					Start: levelStart, Dur: float64(rw.gen) / bw, Bytes: rw.gen,
-					Workers: attributed,
-				})
-			}
-			if rw.handler > 0 {
-				spans = append(spans, obs.ModuleSpan{
-					Node: n.ctx.ID, Module: obs.ModuleForwardHandler, Level: rw.round,
-					Start: levelStart, Dur: float64(rw.handler) / bw, Bytes: rw.handler,
-					Workers: attributed,
-				})
-			}
-		}
-		levelStart += model.LevelTime(s)
-	}
-	return spans
 }
 
 // roundWork is one node's module byte counts for one completed round.
@@ -559,13 +248,11 @@ type roundWork struct {
 
 // nodeRun drives one node's SPMD loop.
 type nodeRun struct {
-	ctx        *NodeCtx
-	algo       RoundAlgo
-	ep         comm.Endpoint
-	net        *comm.Network
-	st         *runState
-	maxRounds  int
-	startRound int
+	ctx       *NodeCtx
+	algo      RoundAlgo
+	ep        comm.Endpoint
+	sess      *core.Session
+	maxRounds int
 
 	kernel   string
 	root     int64
@@ -573,33 +260,26 @@ type nodeRun struct {
 
 	keepSpans bool
 	spanLog   []roundWork
-
-	flight *obs.FlightRecorder
-	ck     *driverCkpt
 }
 
 func (n *nodeRun) loop() error {
-	info := n.st.info
-	for round := n.startRound; ; round++ {
+	net := n.ctx.Net
+	for round := n.sess.Start(); ; round++ {
 		if round >= n.maxRounds {
-			n.net.Abort()
+			net.Abort()
 			return fmt.Errorf("algos: node %d exceeded %d rounds without converging", n.ctx.ID, n.maxRounds)
 		}
 
 		// Node 0 opens the round's accounting window before the activity
 		// allreduce, so every byte of the round — termination check, data,
-		// post-round statistics — lands in exactly one round's delta. (The
-		// window is safe: no peer traffic can be recorded before node 0
-		// joins the allreduce below.)
-		var before fabric.Snapshot
+		// post-round statistics — lands in exactly one round's delta.
 		if n.ctx.ID == 0 {
-			before = n.net.Counters.Snapshot()
-			n.flight.Control(obs.FlightRoundOpen, -1, round, "")
+			n.sess.OpenLevel(round)
 		}
 
-		active := n.net.AllreduceSum(n.algo.Active())
-		if n.net.Aborted() {
-			return errAborted
+		active := net.AllreduceSum(n.algo.Active())
+		if net.Aborted() {
+			return comm.ErrAborted
 		}
 		if active == 0 {
 			return nil
@@ -613,12 +293,12 @@ func (n *nodeRun) loop() error {
 			})
 		}
 
-		sentMsgs0, sentBytes0 := n.net.NodeSent(n.ctx.ID)
+		sentMsgs0, sentBytes0 := net.NodeSent(n.ctx.ID)
 
 		n.ep.StartLevel(round, comm.ChanForward)
-		n.net.Barrier()
-		if n.net.Aborted() {
-			return errAborted
+		net.Barrier()
+		if net.Aborted() {
+			return comm.ErrAborted
 		}
 
 		var sentPairs, recvPairs, batches int64
@@ -626,18 +306,18 @@ func (n *nodeRun) loop() error {
 			sentPairs++
 			return n.ep.Send(comm.ChanForward, dst, p)
 		}
-		if d := n.net.ChaosDelay(chaos.KindDelayGenerator, n.ctx.ID, round); d > 0 {
+		if d := net.ChaosDelay(chaos.KindDelayGenerator, n.ctx.ID, round); d > 0 {
 			time.Sleep(d)
 		}
 		if err := n.algo.Generate(round, send); err != nil {
-			n.net.Abort()
+			net.Abort()
 			return err
 		}
 		if err := n.ep.CloseChannel(comm.ChanForward); err != nil {
-			n.net.Abort()
+			net.Abort()
 			return err
 		}
-		if d := n.net.ChaosDelay(chaos.KindDelayHandler, n.ctx.ID, round); d > 0 {
+		if d := net.ChaosDelay(chaos.KindDelayHandler, n.ctx.ID, round); d > 0 {
 			time.Sleep(d)
 		}
 	recvLoop:
@@ -645,13 +325,13 @@ func (n *nodeRun) loop() error {
 			ev := n.ep.Recv()
 			switch ev.Type {
 			case comm.EvError:
-				n.net.Abort()
+				net.Abort()
 				return ev.Err
 			case comm.EvData:
 				recvPairs += int64(len(ev.Batch.Pairs))
 				batches++
 				if err := n.algo.Handle(round, ev.Batch.Pairs); err != nil {
-					n.net.Abort()
+					net.Abort()
 					return err
 				}
 			case comm.EvChannelClosed:
@@ -659,20 +339,20 @@ func (n *nodeRun) loop() error {
 			}
 		}
 		if err := n.algo.EndRound(round); err != nil {
-			n.net.Abort()
+			net.Abort()
 			return err
 		}
 
 		// Round statistics (same critical-path folding as the BFS engine).
 		processed := (sentPairs + recvPairs) * comm.PairBytes
-		sentMsgs1, sentBytes1 := n.net.NodeSent(n.ctx.ID)
-		maxProcessed := n.net.AllreduceMax(processed)
-		maxSent := n.net.AllreduceMax(sentBytes1 - sentBytes0)
-		maxMsgs := n.net.AllreduceMax(sentMsgs1 - sentMsgs0)
-		maxBatches := n.net.AllreduceMax(batches + 1)
-		sumPairs := n.net.AllreduceSum(sentPairs)
-		if n.net.Aborted() {
-			return errAborted
+		sentMsgs1, sentBytes1 := net.NodeSent(n.ctx.ID)
+		maxProcessed := net.AllreduceMax(processed)
+		maxSent := net.AllreduceMax(sentBytes1 - sentBytes0)
+		maxMsgs := net.AllreduceMax(sentMsgs1 - sentMsgs0)
+		maxBatches := net.AllreduceMax(batches + 1)
+		sumPairs := net.AllreduceSum(sentPairs)
+		if net.Aborted() {
+			return comm.ErrAborted
 		}
 		if n.keepSpans {
 			n.spanLog = append(n.spanLog, roundWork{
@@ -682,13 +362,11 @@ func (n *nodeRun) loop() error {
 			})
 		}
 		if n.ctx.ID == 0 {
-			after := n.net.Counters.Snapshot()
 			rounds := 1
 			if n.ep.Mode() == "relay" {
 				rounds = 2
 			}
-			n.st.mu.Lock()
-			info.Levels = append(info.Levels, perf.LevelStats{
+			n.sess.CloseLevel(perf.LevelStats{
 				Level:                 round,
 				Direction:             "round",
 				FrontierVertices:      active,
@@ -697,25 +375,14 @@ func (n *nodeRun) loop() error {
 				MaxNodeSentBytes:      maxSent,
 				MaxNodeMessages:       maxMsgs,
 				ModuleInvocations:     maxBatches,
-				Net:                   after.Sub(before),
 				Rounds:                rounds,
-			})
-			n.st.lastSnap = after
-			n.st.mu.Unlock()
-			n.st.roundTick.Add(1) // feed the watchdog: this round completed
-			n.flight.Control(obs.FlightRoundClose, -1, round,
-				fmt.Sprintf("active=%d pairs=%d", active, sumPairs))
+			}, fmt.Sprintf("active=%d pairs=%d", active, sumPairs))
 		}
 
 		// Round boundary: stage this node's checkpoint capture before
-		// joining the next round's activity allreduce (see checkpoint.go
-		// for why this window is race-free). A failed periodic file write
-		// is fatal — silently continuing would lose the restart guarantee.
-		if n.ck != nil && n.ck.every > 0 {
-			if err := n.ck.stage(n, round); err != nil {
-				n.net.Abort()
-				return err
-			}
+		// joining the next round's activity allreduce.
+		if err := n.sess.Checkpoint(n.ctx.ID, round, n.captureNode); err != nil {
+			return err
 		}
 	}
 }

@@ -238,6 +238,9 @@ func (kn *kcoreNode) RestoreState(data []byte) error {
 		return fmt.Errorf("kcore state: %d/%d entries, partition gives %d",
 			len(c.Alive), len(c.Effdeg), len(kn.alive))
 	}
+	if err := checkLocals("kcore state: removal", c.Removal, len(kn.alive)); err != nil {
+		return err
+	}
 	copy(kn.alive, c.Alive)
 	copy(kn.effdeg, c.Effdeg)
 	kn.removal = append(kn.removal[:0], c.Removal...)

@@ -183,7 +183,9 @@ func (s *ssspNode) RestoreState(data []byte) error {
 		return fmt.Errorf("sssp state: %d distances, partition gives %d", len(c.Dist), len(s.dist))
 	}
 	copy(s.dist, c.Dist)
-	s.active.LoadWords(c.Active)
+	if err := s.active.LoadWords(c.Active); err != nil {
+		return fmt.Errorf("sssp state: active set: %w", err)
+	}
 	s.pending = c.Pending
 	return nil
 }

@@ -220,7 +220,9 @@ func (w *wccNode) RestoreState(data []byte) error {
 		return fmt.Errorf("wcc state: %d labels, partition gives %d", len(c.Label), len(w.label))
 	}
 	copy(w.label, c.Label)
-	w.active.LoadWords(c.Active)
+	if err := w.active.LoadWords(c.Active); err != nil {
+		return fmt.Errorf("wcc state: active set: %w", err)
+	}
 	w.pending = c.Pending
 	return nil
 }

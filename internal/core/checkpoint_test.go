@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -197,5 +198,87 @@ func TestResumeRejects(t *testing.T) {
 	bad.Nodes = bad.Nodes[:2]
 	if _, err := r.Resume(&bad); err == nil {
 		t.Fatal("truncated node list accepted")
+	}
+}
+
+// hostileCheckpoint runs a checkpointed 3-node BFS over a scale-9 graph —
+// its 512 vertices split 171/171/170, so no node's bitmaps end on a word
+// boundary — and returns the runner and its last checkpoint.
+func hostileCheckpoint(t testing.TB) (*Runner, *ckpt.Checkpoint) {
+	t.Helper()
+	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 9, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ckptConfig(TransportDirect, 1)
+	cfg.Nodes = 3
+	cfg.CheckpointEvery = 1
+	r, err := NewRunner(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	return r, r.LastCheckpoint()
+}
+
+// withNodeData returns a copy of c whose node payload is rewritten by edit.
+func withNodeData(t testing.TB, c *ckpt.Checkpoint, node int, edit func(*bfsNodeData)) *ckpt.Checkpoint {
+	t.Helper()
+	var d bfsNodeData
+	if err := json.Unmarshal(c.Nodes[node].Data, &d); err != nil {
+		t.Fatal(err)
+	}
+	edit(&d)
+	data, err := json.Marshal(&d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *c
+	bad.Nodes = append([]ckpt.NodeState(nil), c.Nodes...)
+	bad.Nodes[node].Data = data
+	return &bad
+}
+
+// TestResumeRejectsHostileCheckpoint is the regression test of a resume
+// crash: a frontier bit past the node's 171 vertices (bit 63 of its last
+// word) used to reach LocalSubgraph.Degree on a node goroutine and panic
+// the process. Every malformed bitmap, policy state or boundary must now
+// fail Resume with an error: a checkpoint's level is never negative and
+// always equals the count of levels it completed.
+func TestResumeRejectsHostileCheckpoint(t *testing.T) {
+	defer testutil.CheckGoroutines(t)
+	r, c := hostileCheckpoint(t)
+	cases := map[string]*ckpt.Checkpoint{
+		"curr bit past the vertices": withNodeData(t, c, 0, func(d *bfsNodeData) {
+			d.Curr[len(d.Curr)-1] |= 1 << 63
+		}),
+		"visited bit past the vertices": withNodeData(t, c, 0, func(d *bfsNodeData) {
+			d.Visited[len(d.Visited)-1] |= 1 << 63
+		}),
+		"curr word missing": withNodeData(t, c, 1, func(d *bfsNodeData) {
+			d.Curr = d.Curr[:len(d.Curr)-1]
+		}),
+		"visited word extra": withNodeData(t, c, 2, func(d *bfsNodeData) {
+			d.Visited = append(d.Visited, 0)
+		}),
+	}
+	hub := *c
+	hub.Machine.HubVisited = append(append([]uint64(nil), c.Machine.HubVisited...), 0)
+	cases["hub bitmap word extra"] = &hub
+	policy := *c
+	policy.Machine.Policy = 7
+	cases["policy state not a direction"] = &policy
+	negative := *c
+	negative.Level = -1
+	cases["negative level"] = &negative
+	ahead := *c
+	ahead.Level = c.Level + 1
+	cases["level past its completed levels"] = &ahead
+	for name, bad := range cases {
+		if _, err := r.Resume(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -162,9 +162,9 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 		channels = append(channels, comm.ChanBackward)
 	}
 	ns.ep.StartLevel(level, channels...)
-	ns.r.net.Barrier()
-	if ns.r.net.Aborted() {
-		return errAborted
+	ns.r.sess.net.Barrier()
+	if ns.r.sess.net.Aborted() {
+		return comm.ErrAborted
 	}
 
 	// Each module's host duration feeds straggler detection. The chaos
@@ -175,7 +175,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	handlerErr := make(chan error, 1)
 	go func() {
 		start := time.Now()
-		if d := ns.r.net.ChaosDelay(chaos.KindDelayHandler, ns.id, level); d > 0 {
+		if d := ns.r.sess.net.ChaosDelay(chaos.KindDelayHandler, ns.id, level); d > 0 {
 			time.Sleep(d)
 		}
 		err := ns.handle(dir)
@@ -184,7 +184,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	}()
 
 	genStart := time.Now()
-	if d := ns.r.net.ChaosDelay(chaos.KindDelayGenerator, ns.id, level); d > 0 {
+	if d := ns.r.sess.net.ChaosDelay(chaos.KindDelayGenerator, ns.id, level); d > 0 {
 		time.Sleep(d)
 	}
 	var genErr error
@@ -210,14 +210,14 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 func (ns *nodeState) forwardGenerator() error {
 	r := ns.r
 	if err := ns.stagedFanout(comm.ChanForward, len(ns.curr.Words()), ns.forwardScan); err != nil {
-		r.net.Abort()
+		r.sess.net.Abort()
 		return err
 	}
 	if ns.genBytes > 0 {
 		ns.genInvocations++ // one CPE-cluster dispatch however many lanes ran
 	}
 	if err := ns.ep.CloseChannel(comm.ChanForward); err != nil {
-		r.net.Abort()
+		r.sess.net.Abort()
 		return err
 	}
 	return nil
@@ -265,14 +265,14 @@ func (ns *nodeState) forwardScan(lo, hi int, stop *atomic.Bool, ws *workerStage,
 func (ns *nodeState) backwardGenerator() error {
 	r := ns.r
 	if err := ns.stagedFanout(comm.ChanBackward, len(ns.visited.Words()), ns.backwardScan); err != nil {
-		r.net.Abort()
+		r.sess.net.Abort()
 		return err
 	}
 	if ns.genBytes > 0 {
 		ns.genInvocations++
 	}
 	if err := ns.ep.CloseChannel(comm.ChanBackward); err != nil {
-		r.net.Abort()
+		r.sess.net.Abort()
 		return err
 	}
 	return nil
@@ -333,7 +333,7 @@ func (ns *nodeState) handle(dir Direction) error {
 		ev := ns.ep.Recv()
 		switch ev.Type {
 		case comm.EvError:
-			r.net.Abort()
+			r.sess.net.Abort()
 			return ev.Err
 
 		case comm.EvData:
@@ -361,7 +361,7 @@ func (ns *nodeState) handle(dir Direction) error {
 			comm.PutPairs(batch.Pairs)
 			batch.Pairs = nil
 			if err != nil {
-				r.net.Abort()
+				r.sess.net.Abort()
 				return err
 			}
 
@@ -371,7 +371,7 @@ func (ns *nodeState) handle(dir Direction) error {
 				// All probes answered: this node's forward contributions
 				// are complete.
 				if err := ns.ep.CloseChannel(comm.ChanForward); err != nil {
-					r.net.Abort()
+					r.sess.net.Abort()
 					return err
 				}
 			case comm.ChanForward:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"swbfs/internal/comm"
-	"swbfs/internal/fabric"
 	"swbfs/internal/obs"
 )
 
@@ -17,17 +16,19 @@ func (r *Runner) observe(res *Result) {
 		return
 	}
 
-	final := r.net.Counters.Snapshot()
-	term := final.Sub(r.lastSnap)
-
 	if t := o.TraceOf(); t != nil {
-		t.Record(r.buildTrace(res, final, term))
+		rt := r.sess.Trace(res.Time)
+		rt.Visited = res.Visited
+		rt.TraversedEdges = res.TraversedEdges
+		rt.BottomUpLevels = res.BottomUpLevels
+		rt.GTEPS = res.GTEPS
+		t.Record(rt)
 	}
 	if m := o.MetricsOf(); m != nil {
 		r.foldMetrics(m, res)
 	}
 	if sr := o.SpansOf(); sr != nil {
-		sr.EndRun(res.Time, r.buildSpans(res), r.stragglerFlags(res))
+		sr.EndRun(res.Time, r.buildSpans(), r.stragglerFlags(res))
 	}
 	if pb := o.ProgressOf(); pb != nil {
 		pb.Publish(obs.LiveEvent{
@@ -37,46 +38,21 @@ func (r *Runner) observe(res *Result) {
 	}
 }
 
-// buildSpans lays the run's per-node module work out on the modelled
-// timeline: each level's module spans start at the level's start and last
-// bytes/bandwidth at the configured engine's module bandwidth. Modules run
-// concurrently (one CPE cluster each, Figure 10), so spans on different
-// tracks of the same level overlap by design; a single module's span never
-// outlasts its level because the level time bounds the slowest node's
-// makespan from above.
-func (r *Runner) buildSpans(res *Result) []obs.ModuleSpan {
-	bw := r.cfg.Engine.Bandwidth()
-	var spans []obs.ModuleSpan
-	levelStart := 0.0
-	for li, s := range res.Levels {
-		for _, ns := range r.nodes {
-			if li >= len(ns.spanLog) {
-				continue
-			}
-			mw := ns.spanLog[li]
-			gen := obs.ModuleForwardGenerator
-			if mw.dir == BottomUp {
-				gen = obs.ModuleBackwardGenerator
-			}
-			names := [4]string{gen, obs.ModuleForwardHandler, obs.ModuleBackwardHandler, obs.ModuleRelay}
-			workers := 0
-			if ns.workers > 1 {
-				workers = ns.workers // attribute pool width only when fanned out
-			}
-			for mi, b := range mw.bytes {
-				if b == 0 {
-					continue
-				}
-				spans = append(spans, obs.ModuleSpan{
-					Node: ns.id, Module: names[mi], Level: mw.level,
-					Start: levelStart, Dur: float64(b) / bw, Bytes: b,
-					Workers: workers,
-				})
-			}
+// buildSpans lays the run's per-node module work — generator, forward
+// handler, backward handler, relay — out on the modelled timeline.
+func (r *Runner) buildSpans() []obs.ModuleSpan {
+	return r.sess.ModuleSpans(func(node, li int) (int, []string, []int64) {
+		log := r.nodes[node].spanLog
+		if li >= len(log) {
+			return 0, nil, nil
 		}
-		levelStart += r.model.LevelTime(s)
-	}
-	return spans
+		mw := log[li]
+		gen := obs.ModuleForwardGenerator
+		if mw.dir == BottomUp {
+			gen = obs.ModuleBackwardGenerator
+		}
+		return mw.level, []string{gen, obs.ModuleForwardHandler, obs.ModuleBackwardHandler, obs.ModuleRelay}, mw.bytes[:]
+	})
 }
 
 // stragglerFlags stamps each detected straggler with its level's start on
@@ -90,7 +66,7 @@ func (r *Runner) stragglerFlags(res *Result) []obs.StragglerFlag {
 	t := 0.0
 	for i, s := range res.Levels {
 		starts[i] = t
-		t += r.model.LevelTime(s)
+		t += r.sess.model.LevelTime(s)
 	}
 	out := make([]obs.StragglerFlag, len(r.stragglers))
 	for i, sf := range r.stragglers {
@@ -100,50 +76,6 @@ func (r *Runner) stragglerFlags(res *Result) []obs.StragglerFlag {
 		out[i] = sf
 	}
 	return out
-}
-
-// buildTrace converts the run's per-level statistics into a RunTrace.
-func (r *Runner) buildTrace(res *Result, final, term fabric.Snapshot) obs.RunTrace {
-	rt := obs.RunTrace{
-		Root:           int64(res.Root),
-		Visited:        res.Visited,
-		TraversedEdges: res.TraversedEdges,
-		BottomUpLevels: res.BottomUpLevels,
-		TotalSeconds:   res.Time,
-		GTEPS:          res.GTEPS,
-
-		TerminationCollectiveBytes: term.CollectiveBytes,
-		TerminationWireBytes:       term.NetworkBytes(),
-		TotalNetworkBytes:          final.NetworkBytes(),
-
-		CodecTraffic: r.net.CodecTraffic(),
-	}
-	rt.Levels = make([]obs.LevelSpan, 0, len(res.Levels))
-	for _, s := range res.Levels {
-		rt.Levels = append(rt.Levels, obs.LevelSpan{
-			Level:            s.Level,
-			Direction:        s.Direction,
-			FrontierVertices: s.FrontierVertices,
-			EdgesRelaxed:     s.FrontierEdges,
-			WallSeconds:      r.model.LevelTime(s),
-			Rounds:           s.Rounds,
-
-			LoopbackBytes:   s.Net.Bytes[fabric.Loopback],
-			IntraSuperBytes: s.Net.Bytes[fabric.IntraSuper],
-			InterSuperBytes: s.Net.Bytes[fabric.InterSuper],
-
-			CollectiveBytes:     s.Net.CollectiveBytes,
-			CollectiveWireBytes: s.Net.CollectiveWireBytes(),
-			CollectiveOps:       s.Net.CollectiveOps,
-
-			NetworkBytes:    s.Net.NetworkBytes(),
-			NetworkMessages: s.Net.Messages[fabric.IntraSuper] + s.Net.Messages[fabric.InterSuper],
-
-			MaxNodeProcessedBytes: s.MaxNodeProcessedBytes,
-			MaxNodeSentBytes:      s.MaxNodeSentBytes,
-		})
-	}
-	return rt
 }
 
 // foldMetrics adds the run's totals to the metrics registry. The registry
@@ -164,7 +96,7 @@ func (r *Runner) foldMetrics(m *obs.Registry, res *Result) {
 	for i, s := range res.Levels {
 		frontier.Observe(s.FrontierVertices)
 		relaxed.Observe(s.FrontierEdges)
-		wall.Observe(int64(r.model.LevelTime(s) * 1e6))
+		wall.Observe(int64(r.sess.model.LevelTime(s) * 1e6))
 		netBytes.Observe(s.Net.NetworkBytes())
 		if i > 0 && s.Direction != res.Levels[i-1].Direction {
 			switches++
@@ -198,5 +130,5 @@ func (r *Runner) foldMetrics(m *obs.Registry, res *Result) {
 	}
 
 	// Network traffic and connection accounting (comm.* taxonomy).
-	r.net.MetricsInto(m)
+	r.sess.net.MetricsInto(m)
 }

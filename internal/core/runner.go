@@ -3,22 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
-	"swbfs/internal/fabric"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 	"swbfs/internal/perf"
 )
-
-// errAborted signals a node saw the job torn down by a peer's failure; the
-// peer's original error is reported instead.
-var errAborted = errors.New("core: run aborted by peer failure")
 
 // ErrLevelTimeout reports that the per-level watchdog (Config.LevelTimeout)
 // saw no level complete within the deadline and tore the run down.
@@ -91,11 +83,9 @@ type Result struct {
 // graph is partitioned once; Run may be called repeatedly with different
 // roots (the Graph500 harness uses 64).
 type Runner struct {
-	cfg   Config
-	g     *graph.CSR
-	part  graph.Partition
-	shape comm.GroupShape
-	model perf.Model
+	cfg  Config
+	g    *graph.CSR
+	part graph.Partition
 
 	subs []*graph.LocalSubgraph
 
@@ -108,27 +98,22 @@ type Runner struct {
 	hubInCurr    *graph.Bitmap
 	hubVisited   *graph.Bitmap
 
-	// Per-run state.
-	net     *comm.Network
-	nodes   []*nodeState
-	policy  *Policy
-	curRoot graph.Vertex
+	// Per-run state: the run's session (kept after the run for
+	// LastInjections), whose network the node loops drive.
+	sess   *Session
+	nodes  []*nodeState
+	policy *Policy
 
-	// Chaos state: the per-run fault injector (nil without a plan) and
-	// the level tick the watchdog watches — node 0 advances it once per
-	// completed level.
-	inj       *chaos.Injector
-	levelTick atomic.Int64
-
-	// flight is the always-on black-box recorder: Config.Obs.Flight when
-	// attached there, a private recorder otherwise. Drained into a
-	// post-mortem dump when a run aborts (see AbortError.FlightDump).
+	// flight is the always-on black-box recorder (see flightOf), kept
+	// across runs. Drained into a post-mortem dump when a run aborts (see
+	// AbortError.FlightDump).
 	flight *obs.FlightRecorder
 
-	// ckpt is the level-boundary checkpoint latch (Config.CheckpointEvery
-	// > 0): nodes stage their boundary captures here and the last one
-	// freezes the assembled checkpoint. See checkpoint.go.
-	ckpt checkpointLatch
+	// ckpt is the latest run's level-boundary checkpoint latch
+	// (Config.CheckpointEvery > 0): nodes stage their boundary captures
+	// there and the last one freezes the assembled checkpoint. See
+	// checkpoint.go.
+	ckpt *checkpointLatch
 
 	// Straggler state: per-node host-side module durations for the
 	// current level (each node writes only its own slot, ordered against
@@ -139,33 +124,17 @@ type Runner struct {
 	hostGenNanos     []int64
 	hostHandlerNanos []int64
 	stragglers       []obs.StragglerFlag
-
-	mu     sync.Mutex
-	levels []perf.LevelStats
-	// lastSnap is node 0's counter snapshot after the final recorded
-	// level; the delta to the end-of-run totals is the termination
-	// traffic (the frontier-emptiness collectives) the trace reports
-	// separately so its books balance.
-	lastSnap fabric.Snapshot
 }
 
 // NewRunner partitions g over the configured machine and validates the
 // configuration against the architectural constraints (CPE SPM budgets).
 func NewRunner(cfg Config, g *graph.CSR) (*Runner, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("core: %d nodes", cfg.Nodes)
+	if err := ValidateConfig(cfg); err != nil {
+		return nil, err
 	}
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
-	}
-
-	shape, err := shapeFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateEngine(cfg, shape); err != nil {
-		return nil, err
 	}
 
 	var part graph.Partition
@@ -178,18 +147,11 @@ func NewRunner(cfg Config, g *graph.CSR) (*Runner, error) {
 		part = graph.NewRoundRobin(g.N, cfg.Nodes)
 	}
 	r := &Runner{
-		cfg:   cfg,
-		g:     g,
-		part:  part,
-		shape: shape,
-		subs:  make([]*graph.LocalSubgraph, cfg.Nodes),
-	}
-	// Flight recording is always on: the black box costs one mutexed ring
-	// append per event and is the only record of what happened when a run
-	// aborts. An observer-attached recorder is shared (so /debug/flight
-	// sees it); otherwise the runner keeps a private one.
-	if r.flight = cfg.Obs.FlightOf(); r.flight == nil {
-		r.flight = obs.NewFlightRecorder(0)
+		cfg:    cfg,
+		g:      g,
+		part:   part,
+		subs:   make([]*graph.LocalSubgraph, cfg.Nodes),
+		flight: flightOf(cfg),
 	}
 	for node := 0; node < cfg.Nodes; node++ {
 		r.subs[node] = graph.ExtractLocal(g, part, node)
@@ -236,7 +198,10 @@ func (r *Runner) Config() Config { return r.cfg }
 func (r *Runner) Flight() *obs.FlightRecorder { return r.flight }
 
 // Shape returns the relay group arrangement (zero value for direct).
-func (r *Runner) Shape() comm.GroupShape { return r.shape }
+func (r *Runner) Shape() comm.GroupShape {
+	shape, _ := shapeFor(r.cfg) // validated by NewRunner
+	return shape
+}
 
 // Run executes one rooted BFS and returns its result. The error reports a
 // simulated machine failure (SPM overflow was caught at construction; MPI
@@ -251,99 +216,37 @@ func (r *Runner) Run(root graph.Vertex) (*Result, error) {
 // run executes one rooted BFS, from scratch (resume == nil) or from a
 // validated checkpoint (the Resume path).
 func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error) {
-	r.curRoot = root
+	s, err := OpenSession(r.cfg, r.g, SessionSpec{
+		Kernel: "bfs", Root: root, Resume: resume,
+		flight: r.flight, captureMachine: r.captureMachine,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	r.sess, r.ckpt = s, s.ckpt
 	if pb := r.cfg.Obs.ProgressOf(); pb != nil {
 		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(root)})
 	}
 	if sr := r.cfg.Obs.SpansOf(); sr != nil {
 		sr.BeginRun(int64(root))
 	}
-
-	if resume == nil {
-		r.flight.BeginRun(int64(root), "bfs", r.cfg.Nodes, r.cfg.Transport.String())
-	} else {
-		// Restore the black box instead of opening a new run: the run index
-		// and every pre-checkpoint event continue where the original left
-		// off, so a post-resume dump reconciles 1:1 with the injection log.
-		r.flight.RestoreState(resume.Machine.Flight)
-	}
-
-	// The injector is rebuilt per run so every Run against the same plan
-	// replays the same faults — the determinism contract of docs/CHAOS.md.
-	r.inj = nil
-	if r.cfg.Chaos != nil {
-		r.inj = chaos.NewInjector(*r.cfg.Chaos, r.cfg.Obs.MetricsOf())
-		r.inj.SetFlight(r.flight)
-	} else if resume != nil && len(resume.Machine.Injections) > 0 {
-		// No plan for the remainder, but faults fired before the
-		// checkpoint: keep an (empty-schedule) injector so LastInjections
-		// still reports them.
-		r.inj = chaos.NewInjector(chaos.Plan{}, r.cfg.Obs.MetricsOf())
-		r.inj.SetFlight(r.flight)
-	}
-	if resume != nil {
-		// Pre-checkpoint faults already fired; seed the log so the resumed
-		// run's LastInjections matches an uninterrupted run's. A fired kill
-		// must be stripped from the plan by the caller (chaos.Plan.Without)
-		// — its coordinate lies in the re-run level and would strike again.
-		r.inj.SeedLog(resume.Machine.Injections)
-	}
-
-	net, err := comm.NewNetwork(comm.Config{
-		Nodes:           r.cfg.Nodes,
-		SuperNodeSize:   r.cfg.SuperNodeSize,
-		BatchBytes:      r.cfg.BatchBytes,
-		MPIMemoryBudget: r.cfg.MPIMemoryBudget,
-		Codec:           r.cfg.Codec,
-		CodecBackward:   r.cfg.CodecBackward,
-		Chaos:           r.inj,
-		Flight:          r.flight,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.net = net
-	defer func() {
-		net.Close()
-		r.net = nil
-	}()
-	r.model = perf.NewModel(net.Topo, r.cfg.Engine)
-	r.policy = NewPolicy(r.cfg.Alpha, r.cfg.Beta, r.cfg.DirectionOptimized)
-	r.levels = nil
-	r.lastSnap = fabric.Snapshot{}
-	r.levelTick.Store(0)
 	r.hostGenNanos = make([]int64, r.cfg.Nodes)
 	r.hostHandlerNanos = make([]int64, r.cfg.Nodes)
 	r.stragglers = nil
-
-	r.ckpt.mu.Lock()
-	r.ckpt.pending, r.ckpt.staged, r.ckpt.written = nil, 0, 0
-	// A resumed run that dies before its next boundary still has a
-	// checkpoint to offer: the one it resumed from.
-	r.ckpt.latest = resume
-	r.ckpt.mu.Unlock()
-	if r.cfg.CheckpointEvery > 0 && r.cfg.Obs != nil {
-		r.cfg.Obs.Checkpoint = r // serve /debug/checkpoint
-	}
-
-	startLevel := 0
-	if resume != nil {
-		startLevel = resume.Level
-		if err := net.RestoreState(resume.Machine.Net); err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		r.levels = append([]perf.LevelStats(nil), resume.Machine.Levels...)
-		r.lastSnap = resume.Machine.LastSnap
-		r.mu.Unlock()
-		r.levelTick.Store(int64(startLevel))
-	}
 
 	if r.hubs != nil {
 		r.hubInCurr = graph.NewBitmap(int64(r.hubsBottomUp))
 		r.hubVisited = graph.NewBitmap(int64(r.hubsBottomUp))
 		if resume != nil {
-			r.hubVisited.LoadWords(resume.Machine.HubVisited)
+			if err := r.hubVisited.LoadWords(resume.Machine.HubVisited); err != nil {
+				return nil, fmt.Errorf("core: checkpoint hub bitmap: %w", err)
+			}
+		}
+	}
+	if resume != nil {
+		if p := Direction(resume.Machine.Policy); p != TopDown && p != BottomUp {
+			return nil, fmt.Errorf("core: checkpoint policy state %d is not a direction", p)
 		}
 	}
 
@@ -369,15 +272,8 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		if node == 0 {
 			r.policy = ns.policyReplica // authoritative copy for reporting
 		}
-		if r.cfg.Transport == TransportRelay {
-			ep, err := comm.NewRelayEndpoint(net, node, r.shape)
-			if err != nil {
-				return nil, err
-			}
-			ep.SetFlowSink(r.cfg.Obs.SpansOf())
-			ns.ep = ep
-		} else {
-			ns.ep = comm.NewDirectEndpoint(net, node)
+		if ns.ep, err = s.Endpoint(node); err != nil {
+			return nil, err
 		}
 		if resume != nil {
 			if err := ns.restoreNode(resume.Nodes[node].Data); err != nil {
@@ -396,112 +292,10 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		r.nodes[owner].curr.Set(rootLocal)
 	}
 
-	// Per-level watchdog: if node 0's tick stops advancing for a whole
-	// timeout window, poison the network so every blocked module unwinds.
-	var watchdogErr chan error
-	var watchdogStop chan struct{}
-	if r.cfg.LevelTimeout > 0 {
-		watchdogErr = make(chan error, 1)
-		watchdogStop = make(chan struct{})
-		if resume == nil {
-			// The restored rings already hold the original arm event.
-			r.flight.Control(obs.FlightWatchdogArm, -1, -1, "level timeout "+r.cfg.LevelTimeout.String())
-		}
-		go func() {
-			t := time.NewTicker(r.cfg.LevelTimeout)
-			defer t.Stop()
-			last := r.levelTick.Load()
-			for {
-				select {
-				case <-watchdogStop:
-					return
-				case <-t.C:
-					cur := r.levelTick.Load()
-					if cur != last {
-						last = cur
-						continue
-					}
-					r.flight.Control(obs.FlightWatchdogFire, -1, int(cur),
-						"no level completed within "+r.cfg.LevelTimeout.String())
-					watchdogErr <- fmt.Errorf("%w: no level completed within %s",
-						ErrLevelTimeout, r.cfg.LevelTimeout)
-					net.Abort()
-					return
-				}
-			}
-		}()
+	if err := s.Run(func(node int) error { return r.nodes[node].runBFS(s.Start()) }); err != nil {
+		return nil, err
 	}
-
-	// Drive every node SPMD-style.
-	errs := make([]error, r.cfg.Nodes)
-	var wg sync.WaitGroup
-	for node := 0; node < r.cfg.Nodes; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			errs[node] = r.nodes[node].runBFS(startLevel)
-		}(node)
-	}
-	wg.Wait()
-	if watchdogStop != nil {
-		close(watchdogStop)
-	}
-
-	// Consequence errors (errAborted from a peer's teardown, comm
-	// inbox-closed errors wrapping comm.ErrAborted) are filtered so the
-	// original failure surfaces as the abort cause.
-	var cause error
-	aborted := false
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		aborted = true
-		if cause == nil && !errors.Is(err, errAborted) && !errors.Is(err, comm.ErrAborted) {
-			cause = err
-		}
-	}
-	if aborted {
-		if cause == nil && watchdogErr != nil {
-			select {
-			case cause = <-watchdogErr:
-			default:
-			}
-		}
-		if cause == nil {
-			cause = errors.New("core: run aborted without a reported cause")
-		}
-		ae := &AbortError{
-			Root:            root,
-			Cause:           cause,
-			CompletedLevels: append([]perf.LevelStats(nil), r.levels...),
-			Injections:      r.inj.Log(),
-		}
-		ae.FlightDump, ae.FlightPath = r.postMortem(len(r.levels), cause)
-		ae.Checkpoint = r.LastCheckpoint()
-		ae.CheckpointPath = r.writeAbortCheckpoint(ae.Checkpoint)
-		return nil, ae
-	}
-
 	return r.assemble(root), nil
-}
-
-// postMortem closes the flight record of an aborted run: it stamps the
-// abort event, drains the recorder into a dump, and writes the dump to
-// Config.FlightDump when set (best-effort — a failed write still leaves
-// the in-memory dump on the AbortError).
-func (r *Runner) postMortem(completedLevels int, cause error) (*obs.FlightDump, string) {
-	r.flight.Control(obs.FlightAbort, -1, completedLevels, cause.Error())
-	d := r.flight.Dump()
-	d.Aborted = true
-	d.Cause = cause.Error()
-	path := ""
-	if r.cfg.FlightDump != "" {
-		if err := obs.WriteFlightDumpFile(r.cfg.FlightDump, d); err == nil {
-			path = r.cfg.FlightDump
-		}
-	}
-	return d, path
 }
 
 // LastInjections returns the faults actually injected during the most
@@ -509,24 +303,22 @@ func (r *Runner) postMortem(completedLevels int, cause error) (*obs.FlightDump, 
 // plan, same configuration, same root → same log, whether or not the run
 // completed.
 func (r *Runner) LastInjections() []chaos.Fault {
-	return r.inj.Log()
+	return r.sess.Injections()
 }
 
 // runBFS is the per-node main loop of Algorithm 1, entered at level 0 for
 // a fresh run or at the checkpoint boundary for a resumed one.
 func (ns *nodeState) runBFS(startLevel int) error {
 	r := ns.r
+	s := r.sess
 	level := startLevel
 	for {
 		// Node 0 opens the level's accounting window before the frontier
 		// collectives, so every byte of the level — statistics
 		// allreduces, hub allgather, barrier and data — lands in exactly
-		// one level's delta. (The window is safe: no peer traffic can be
-		// recorded before node 0 joins the first allreduce below.)
-		var before fabric.Snapshot
+		// one level's delta.
 		if ns.id == 0 {
-			before = r.net.Counters.Snapshot()
-			r.flight.Control(obs.FlightRoundOpen, -1, level, "")
+			s.OpenLevel(level)
 		}
 
 		// Fold the arriving frontier into the visited snapshot before any
@@ -542,11 +334,11 @@ func (ns *nodeState) runBFS(startLevel int) error {
 			mfLocal += ns.sub.Degree(local)
 		}
 		ns.visitedDeg += mfLocal
-		nf := r.net.AllreduceSum(nfLocal)
-		mf := r.net.AllreduceSum(mfLocal)
-		mu := r.net.AllreduceSum(ns.localEdges - ns.visitedDeg)
-		if r.net.Aborted() {
-			return errAborted
+		nf := r.sess.net.AllreduceSum(nfLocal)
+		mf := r.sess.net.AllreduceSum(mfLocal)
+		mu := r.sess.net.AllreduceSum(ns.localEdges - ns.visitedDeg)
+		if r.sess.net.Aborted() {
+			return comm.ErrAborted
 		}
 		if nf == 0 {
 			return nil
@@ -560,7 +352,7 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		if ns.id == 0 {
 			if pb := r.cfg.Obs.ProgressOf(); pb != nil {
 				pb.Publish(obs.LiveEvent{
-					Kind: obs.EventLevel, Root: int64(r.curRoot),
+					Kind: obs.EventLevel, Root: int64(s.root),
 					Level: level, Direction: dir.String(),
 					FrontierVertices: nf, EdgesRelaxed: mf,
 				})
@@ -574,25 +366,25 @@ func (ns *nodeState) runBFS(startLevel int) error {
 			}
 		}
 
-		sentMsgs0, sentBytes0 := r.net.NodeSent(ns.id)
+		sentMsgs0, sentBytes0 := r.sess.net.NodeSent(ns.id)
 
 		if err := ns.runLevel(level, dir); err != nil {
 			return err
 		}
 
 		// Critical-path statistics.
-		sentMsgs1, sentBytes1 := r.net.NodeSent(ns.id)
-		maxProcessed := r.net.AllreduceMax(ns.genBytes + ns.handlerBytes + ns.relayBytes)
-		maxSent := r.net.AllreduceMax(sentBytes1 - sentBytes0)
-		maxMsgs := r.net.AllreduceMax(sentMsgs1 - sentMsgs0)
-		maxInvocations := r.net.AllreduceMax(ns.invocations())
+		sentMsgs1, sentBytes1 := r.sess.net.NodeSent(ns.id)
+		maxProcessed := r.sess.net.AllreduceMax(ns.genBytes + ns.handlerBytes + ns.relayBytes)
+		maxSent := r.sess.net.AllreduceMax(sentBytes1 - sentBytes0)
+		maxMsgs := r.sess.net.AllreduceMax(sentMsgs1 - sentMsgs0)
+		maxInvocations := r.sess.net.AllreduceMax(ns.invocations())
 		modules := ns.moduleBytes()
 		var maxModules [4]int64
 		for i, b := range modules {
-			maxModules[i] = r.net.AllreduceMax(b)
+			maxModules[i] = r.sess.net.AllreduceMax(b)
 		}
-		if r.net.Aborted() {
-			return errAborted
+		if r.sess.net.Aborted() {
+			return comm.ErrAborted
 		}
 
 		ns.accumulateRun()
@@ -601,13 +393,6 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		}
 
 		if ns.id == 0 {
-			r.levelTick.Add(1) // feed the watchdog: this level completed
-			r.flight.Control(obs.FlightRoundClose, -1, level,
-				fmt.Sprintf("dir=%s frontier=%d edges=%d", dir, nf, mf))
-			if r.cfg.StragglerFactor > 0 {
-				r.detectStragglers(level)
-			}
-			after := r.net.Counters.Snapshot()
 			rounds := 1
 			if r.cfg.Transport == TransportRelay {
 				rounds = 2
@@ -615,8 +400,7 @@ func (ns *nodeState) runBFS(startLevel int) error {
 			if dir == BottomUp {
 				rounds *= 2
 			}
-			r.mu.Lock()
-			r.levels = append(r.levels, perf.LevelStats{
+			s.CloseLevel(perf.LevelStats{
 				Level:                 level,
 				Direction:             dir.String(),
 				FrontierVertices:      nf,
@@ -626,11 +410,11 @@ func (ns *nodeState) runBFS(startLevel int) error {
 				MaxNodeSentBytes:      maxSent,
 				MaxNodeMessages:       maxMsgs,
 				ModuleInvocations:     maxInvocations,
-				Net:                   after.Sub(before),
 				Rounds:                rounds,
-			})
-			r.lastSnap = after
-			r.mu.Unlock()
+			}, fmt.Sprintf("dir=%s frontier=%d edges=%d", dir, nf, mf))
+			if r.cfg.StragglerFactor > 0 {
+				r.detectStragglers(level)
+			}
 		}
 
 		// Advance the frontier: next (handler discoveries) merged with
@@ -643,11 +427,8 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		// free of extra collectives — no level-(level+1) traffic can be
 		// recorded until every node (each after its own capture here) joins
 		// the next level's first allreduce (see checkpoint.go).
-		if r.cfg.CheckpointEvery > 0 {
-			if err := r.stageCheckpoint(ns, level); err != nil {
-				r.net.Abort()
-				return err
-			}
+		if err := s.Checkpoint(ns.id, level, ns.captureNode); err != nil {
+			return err
 		}
 		level++
 	}
@@ -703,7 +484,7 @@ func (r *Runner) detectStragglers(level int) {
 			fmt.Sprintf("host=%.6fs mean=%.6fs", sf.HostSeconds, sf.MeanHostSeconds))
 		if pb := r.cfg.Obs.ProgressOf(); pb != nil {
 			pb.Publish(obs.LiveEvent{
-				Kind: obs.EventStraggler, Root: int64(r.curRoot),
+				Kind: obs.EventStraggler, Root: int64(r.sess.root),
 				Level: level, Node: node,
 				HostSeconds:     sf.HostSeconds,
 				MeanHostSeconds: sf.MeanHostSeconds,
@@ -719,23 +500,26 @@ func (r *Runner) detectStragglers(level int) {
 func (ns *nodeState) exchangeHubs() error {
 	r := ns.r
 	words := ns.localHubWords()
-	result, err := r.net.AllgatherOr(words, true)
+	result, err := r.sess.net.AllgatherOr(words, true)
 	if err != nil {
 		return err
 	}
-	if r.net.Aborted() {
-		return errAborted
+	if r.sess.net.Aborted() {
+		return comm.ErrAborted
 	}
 	if ns.id == 0 {
 		r.hubInCurr.Reset()
 		if result != nil {
-			r.hubInCurr.LoadWords(result)
+			if err := r.hubInCurr.LoadWords(result); err != nil {
+				r.sess.net.Abort()
+				return err
+			}
 		}
 		r.hubVisited.Or(r.hubInCurr)
 	}
-	r.net.Barrier()
-	if r.net.Aborted() {
-		return errAborted
+	r.sess.net.Barrier()
+	if r.sess.net.Aborted() {
+		return comm.ErrAborted
 	}
 	return nil
 }
@@ -764,7 +548,7 @@ func (r *Runner) assemble(root graph.Vertex) *Result {
 	res := &Result{
 		Root:   root,
 		Parent: make([]graph.Vertex, r.g.N),
-		Levels: r.levels,
+		Levels: r.sess.Levels(),
 	}
 	for v := graph.Vertex(0); int64(v) < r.g.N; v++ {
 		p := r.nodes[r.part.Owner(v)].parentOf(r.part.Local(v))
@@ -774,14 +558,14 @@ func (r *Runner) assemble(root graph.Vertex) *Result {
 		}
 	}
 	res.TraversedEdges = ComponentEdges(r.g, res.Parent)
-	res.Time = r.model.TotalTime(res.Levels)
-	res.GTEPS = r.model.GTEPS(res.TraversedEdges, res.Levels)
+	res.Time = r.sess.model.TotalTime(res.Levels)
+	res.GTEPS = r.sess.model.GTEPS(res.TraversedEdges, res.Levels)
 	for _, s := range res.Levels {
 		if s.Direction == BottomUp.String() {
 			res.BottomUpLevels++
 		}
 	}
-	res.MaxConnections = r.net.MaxConnectionCount()
+	res.MaxConnections = r.sess.net.MaxConnectionCount()
 	r.observe(res)
 	return res
 }

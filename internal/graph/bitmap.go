@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 )
@@ -86,15 +87,19 @@ func (b *Bitmap) Or(other *Bitmap) {
 // returned slice aliases the bitmap.
 func (b *Bitmap) Words() []uint64 { return b.bits }
 
-// LoadWords overwrites the bitmap content from serialized words. Extra words
-// are ignored; missing words leave high bits zero.
-func (b *Bitmap) LoadWords(words []uint64) {
-	b.Reset()
-	n := len(words)
-	if n > len(b.bits) {
-		n = len(b.bits)
+// LoadWords overwrites the bitmap content from serialized words. It
+// refuses (leaving the bitmap unchanged) a word count other than the
+// bitmap's own and any set bit at or beyond Len — NextSet and ForEach
+// would otherwise hand those positions to per-vertex arrays.
+func (b *Bitmap) LoadWords(words []uint64) error {
+	if len(words) != len(b.bits) {
+		return fmt.Errorf("graph: bitmap of %d bits needs %d words, got %d", b.n, len(b.bits), len(words))
 	}
-	copy(b.bits, words[:n])
+	if tail := b.n & 63; tail != 0 && words[len(words)-1]>>uint(tail) != 0 {
+		return fmt.Errorf("graph: bitmap of %d bits has bits set beyond its length", b.n)
+	}
+	copy(b.bits, words)
+	return nil
 }
 
 // ForEach calls fn for every set bit in ascending order.

@@ -84,6 +84,34 @@ func TestBitmapWordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBitmapLoadWordsRejects: a serialized bitmap with the wrong word
+// count or a bit at or past Len is refused, and the bitmap is unchanged.
+func TestBitmapLoadWordsRejects(t *testing.T) {
+	for name, words := range map[string][]uint64{
+		"short":         {0, 0},
+		"long":          {0, 0, 0, 0},
+		"bit at Len":    {0, 0, 1 << 22},
+		"bit past Len":  {0, 0, 1 << 63},
+		"nil for 150 b": nil,
+	} {
+		b := NewBitmap(150)
+		b.Set(7)
+		if err := b.LoadWords(words); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !b.Get(7) || b.Count() != 1 {
+			t.Errorf("%s: rejected load changed the bitmap", name)
+		}
+	}
+	b := NewBitmap(150)
+	if err := b.LoadWords([]uint64{0, 0, 1 << 21}); err != nil || !b.Get(149) {
+		t.Fatalf("last in-range bit refused: %v", err)
+	}
+	if err := NewBitmap(128).LoadWords([]uint64{0, 1 << 63}); err != nil {
+		t.Fatalf("word-aligned bitmap refused its top bit: %v", err)
+	}
+}
+
 // Property: Count equals the number of distinct positions set.
 func TestBitmapCountProperty(t *testing.T) {
 	f := func(positions []uint16) bool {

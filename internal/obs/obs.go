@@ -57,13 +57,13 @@ type Observer struct {
 	// -flight-dump flag.
 	Flight *FlightRecorder
 	// Checkpoint serves the latest level-boundary checkpoint at
-	// /debug/checkpoint. The engines install themselves here when
-	// checkpointing is enabled (core.Config.CheckpointEvery > 0).
+	// /debug/checkpoint. Each run session installs its checkpoint latch
+	// here when checkpointing is enabled (core.Config.CheckpointEvery > 0).
 	Checkpoint CheckpointSource
 }
 
 // CheckpointSource is anything that can serve its latest checkpoint as
-// JSON. The runner and the algos driver implement it; obs stays ignorant
+// JSON. The run session's checkpoint latch implements it; obs stays ignorant
 // of the checkpoint schema (the ckpt package imports obs, not the other
 // way round).
 type CheckpointSource interface {
