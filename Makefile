@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-snapshot bench-diff chaos fuzz docs-check resume-smoke
+.PHONY: build test check fmt vet race bench bench-snapshot bench-diff chaos fuzz docs-check resume-smoke cli-golden
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,8 @@ test:
 
 # check is the pre-commit gate: build, vet, formatting, full tests, the
 # race-detector pass over the concurrency-heavy packages, the
-# checkpoint/resume smoke, and the docs-vs-code lint.
-check: build vet fmt test race resume-smoke docs-check
+# checkpoint/resume smoke, the CLI goldens, and the docs-vs-code lint.
+check: build vet fmt test race resume-smoke cli-golden docs-check
 
 vet:
 	$(GO) vet ./...
@@ -66,6 +66,27 @@ resume-smoke:
 	test -s "$$dir/smoke.ckpt.json" || { echo "resume-smoke: no checkpoint written"; exit 1; } && \
 	$(GO) run ./cmd/graph500 -scale 10 -nodes 8 -seed 42 -resume "$$dir/smoke.ckpt.json" \
 		| grep -q 'validation: *ok' && echo "resume-smoke: ok"
+
+# cli-golden pins both CLIs' default-flag stdout to the committed goldens
+# (swbfs-bench also at -workers 3, which must not change a digit; graph500
+# minus its host-timed construction_time line), and checks that
+# -cpuprofile covers every graph500 mode, the sssp kernel and -resume
+# included, by demanding a non-empty profile from each.
+cli-golden:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/graph500" ./cmd/graph500; \
+	$(GO) build -o "$$dir/swbfs-bench" ./cmd/swbfs-bench; \
+	"$$dir/swbfs-bench" -quick all | diff -u cmd/swbfs-bench/testdata/quick-all.golden -; \
+	"$$dir/swbfs-bench" -quick -workers 3 all | diff -u cmd/swbfs-bench/testdata/quick-all.golden -; \
+	"$$dir/graph500" -scale 10 -nodes 8 -super 4 -roots 4 | grep -v '^construction_time:' \
+		| diff -u cmd/graph500/testdata/scale10.golden -; \
+	"$$dir/graph500" -scale 9 -nodes 4 -roots 2 -kernel sssp -cpuprofile "$$dir/sssp.pprof" >/dev/null; \
+	test -s "$$dir/sssp.pprof" || { echo "cli-golden: -kernel sssp -cpuprofile wrote no profile"; exit 1; }; \
+	"$$dir/graph500" -scale 10 -nodes 8 -roots 1 -seed 42 -checkpoint-every 1 -checkpoint "$$dir/c.json" \
+		-chaos-plan 'kill@3:l2:data/forward:0' >/dev/null 2>&1 || true; \
+	"$$dir/graph500" -scale 10 -nodes 8 -seed 42 -resume "$$dir/c.json" -cpuprofile "$$dir/resume.pprof" >/dev/null 2>&1; \
+	test -s "$$dir/resume.pprof" || { echo "cli-golden: -resume -cpuprofile wrote no profile"; exit 1; }; \
+	echo "cli-golden: ok"
 
 # bench-snapshot runs the standard sweep and writes the next BENCH_<n>.json
 # in the repo root; bench-diff compares the newest two snapshots and fails

@@ -20,6 +20,7 @@ import (
 	"swbfs/internal/graph"
 	"swbfs/internal/graph500"
 	"swbfs/internal/perf"
+	"swbfs/internal/runspec"
 	"swbfs/internal/shuffle"
 	"swbfs/internal/sw"
 )
@@ -182,7 +183,7 @@ func BenchmarkFig12WeakScaling(b *testing.B) {
 func BenchmarkTable2Headline(b *testing.B) {
 	var proj float64
 	for i := 0; i < b.N; i++ {
-		m, p := experiments.Headline(11, 1, 101)
+		m, p := experiments.Headline(runspec.Spec{}, 11, 1, 101)
 		if m.Crashed() {
 			b.Fatal(m.Err)
 		}

@@ -10,10 +10,11 @@
 //     an actual heading anchor of the target document, using GitHub's
 //     slug rules (lowercased, punctuation dropped, spaces to hyphens,
 //     duplicates suffixed -1, -2, ...).
-//  2. Every CLI flag is documented. Each `flag.Xxx("name", ...)`
-//     registration under cmd/ must be mentioned as `-name` in at least
-//     one markdown file — a flag nobody can discover is a flag that
-//     doesn't exist.
+//  2. Every CLI flag is documented. Each `flag.Xxx("name", ...)` or
+//     `fs.XxxVar(&v, "name", ...)` registration under cmd/ or internal/
+//     (where flags shared by several commands live) must be mentioned as
+//     `-name` in at least one markdown file — a flag nobody can discover
+//     is a flag that doesn't exist.
 //
 // Usage: docscheck [repo-root]   (default ".")
 package main
@@ -34,8 +35,9 @@ var (
 	mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	// ATX headings: 1-6 hashes, a space, the heading text.
 	mdHeading = regexp.MustCompile(`^(#{1,6})[ \t]+(.+)$`)
-	// String/Bool/Int/... flag registrations, including the *Var forms.
-	flagDecl = regexp.MustCompile(`\bflag\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)(?:Var)?\(\s*(?:&\w+(?:\.\w+)*\s*,\s*)?"([^"]+)"`)
+	// String/Bool/Int/... flag registrations, including the *Var forms,
+	// on the flag package or on a *flag.FlagSet.
+	flagDecl = regexp.MustCompile(`\b\w+\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)(?:Var)?\(\s*(?:&?\w+(?:\.\w+)*\s*,\s*)?"([^"]+)"`)
 )
 
 func main() {
@@ -60,11 +62,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d markdown files, %d cmd sources: OK\n", len(mdFiles), len(goFiles))
+	fmt.Printf("docscheck: %d markdown files, %d Go sources: OK\n", len(mdFiles), len(goFiles))
 }
 
-// collect walks the repo for markdown files (everywhere) and Go sources
-// under cmd/, skipping VCS and test fixture directories.
+// collect walks the repo for markdown files (everywhere) and non-test Go
+// sources under cmd/ and internal/, skipping VCS and test fixture
+// directories.
 func collect(root string) (md, goSrc []string, err error) {
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -85,7 +88,8 @@ func collect(root string) (md, goSrc []string, err error) {
 		case strings.HasSuffix(name, ".md"):
 			md = append(md, rel)
 		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
-			strings.HasPrefix(rel, "cmd"+string(filepath.Separator)):
+			(strings.HasPrefix(rel, "cmd"+string(filepath.Separator)) ||
+				strings.HasPrefix(rel, "internal"+string(filepath.Separator))):
 			goSrc = append(goSrc, rel)
 		}
 		return nil
@@ -206,7 +210,7 @@ func slugify(heading string) string {
 	return b.String()
 }
 
-// checkFlags verifies every flag registered under cmd/ is mentioned as
+// checkFlags verifies every flag registered in goFiles is mentioned as
 // `-name` somewhere in the markdown corpus.
 func checkFlags(root string, mdFiles, goFiles []string) []string {
 	var corpus strings.Builder

@@ -82,6 +82,45 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
+// TestCheckFlagsFlagSetOutsideCmd registers flags the way a package
+// shared by several commands does — FlagSet methods, outside cmd/ — and
+// expects the undocumented one to be reported.
+func TestCheckFlagsFlagSetOutsideCmd(t *testing.T) {
+	root := fakeRepo(t)
+	path := filepath.Join(root, "internal", "spec", "spec.go")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := `package spec
+
+import "flag"
+
+func Bind(fs *flag.FlagSet, scale *int, hidden *int64) {
+	fs.IntVar(scale, "scale", 16, "documented")
+	fs.Int64Var(hidden, "hidden-knob", 0, "undocumented")
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	md, goSrc, err := collect(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hidden, ghost int
+	for _, p := range checkFlags(root, md, goSrc) {
+		if strings.Contains(p, "-hidden-knob") && strings.Contains(p, filepath.Join("internal", "spec", "spec.go")) {
+			hidden++
+		}
+		if strings.Contains(p, "-ghost") {
+			ghost++
+		}
+	}
+	if hidden != 1 || ghost != 1 {
+		t.Fatalf("want -hidden-knob and -ghost reported once each, got %d and %d", hidden, ghost)
+	}
+}
+
 func TestSlugify(t *testing.T) {
 	for _, tc := range []struct{ heading, want string }{
 		{"Flight recorder & post-mortems", "flight-recorder--post-mortems"},

@@ -18,127 +18,37 @@
 //	swbfs-bench all       everything
 //
 // Use -quick for smaller sweeps, -full for larger ones, and
-// -format csv|json for machine-readable output.
+// -format csv|json for machine-readable output. The run flags it shares
+// with cmd/graph500 (internal/runspec) reach every functional
+// measurement of every subcommand.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"math/bits"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"swbfs/internal/chaos"
-	"swbfs/internal/ckpt"
-	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/experiments"
 	"swbfs/internal/graph"
-	"swbfs/internal/obs"
+	"swbfs/internal/runspec"
 )
 
 func main() {
 	var (
-		quick      = flag.Bool("quick", false, "small sweeps (seconds)")
-		full       = flag.Bool("full", false, "large sweeps (minutes; up to 256 functional nodes)")
-		seed       = flag.Int64("seed", 20160624, "deterministic seed")
-		roots      = flag.Int("roots", 0, "BFS roots per data point (0 = per-experiment default)")
-		format     = flag.String("format", "text", "output format: text | csv | json")
-		metrics    = flag.Bool("metrics", false, "print the unified metrics registry after the sweep (see docs/OBSERVABILITY.md)")
-		traceOut   = flag.String("trace-out", "", "write the structured per-level BFS traces of all functional runs as JSON to this file")
-		chromeOut  = flag.String("chrome-trace", "", "write the sweep's run timelines (per-node module tracks) as Chrome trace-event JSON to this file")
-		serveAddr  = flag.String("serve", "", "serve live telemetry on this address during the sweep: /metrics (Prometheus), /traces, /events (SSE), /debug/pprof")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		exectrace  = flag.String("exec-trace", "", "write a runtime/trace execution trace of the sweep to this file")
-		workers    = flag.Int("workers", 0, "host worker goroutines per simulated node (0 = GOMAXPROCS/nodes; results are identical for every width)")
-		codec      = flag.String("codec", "", "wire codec for every channel of functional runs: raw | varint-delta | bitmap | adaptive (empty = raw; see docs/ARCHITECTURE.md)")
-		codecBwd   = flag.String("codec-backward", "", "wire codec override for the backward (bottom-up) channel of functional runs: raw | varint-delta | bitmap | adaptive (empty = no override)")
-		flightDump = flag.String("flight-dump", "", "write the flight-recorder post-mortem of an aborted functional run to this file (default: <-trace-out>.flight.json when -trace-out is set; render with flightview)")
-
-		checkpointEvery = flag.Int("checkpoint-every", 0, "write a resumable machine checkpoint every N completed levels of each functional measurement (0 = off; see docs/CHAOS.md)")
-		checkpointPath  = flag.String("checkpoint", "", "checkpoint file path (default: <-flight-dump>.ckpt.json on abort when -checkpoint-every is set)")
-		resumeFrom      = flag.String("resume", "", "resume an interrupted functional BFS run from this checkpoint file (no subcommand; graph rebuilt from -seed)")
-
-		chaosSeed       = flag.Int64("chaos-seed", 0, "inject a seeded random fault plan into every functional measurement (0 = off; see docs/CHAOS.md)")
-		chaosPlan       = flag.String("chaos-plan", "", "inject an explicit fault plan into every functional measurement (wins over -chaos-seed; see docs/CHAOS.md)")
-		levelTimeout    = flag.Duration("level-timeout", 0, "abort a functional run if no BFS level completes within this duration (0 = no watchdog)")
-		stragglerFactor = flag.Float64("straggler-factor", 0, "flag nodes whose per-level module host time exceeds this multiple of the fleet mean (0 = off)")
+		quick  = flag.Bool("quick", false, "small sweeps (seconds)")
+		full   = flag.Bool("full", false, "large sweeps (minutes; up to 256 functional nodes)")
+		seed   = flag.Int64("seed", 20160624, "deterministic seed")
+		roots  = flag.Int("roots", 0, "BFS roots per data point (0 = per-experiment default)")
+		format = flag.String("format", "text", "output format: text | csv | json")
 	)
+	spec := runspec.Bind(flag.CommandLine, "swbfs-bench")
 	flag.Parse()
-	if *resumeFrom == "" && flag.NArg() != 1 {
+	if args := flag.NArg(); spec.Resume == "" && args != 1 || spec.Resume != "" && args != 0 {
 		usage()
 	}
-	if *resumeFrom != "" && flag.NArg() != 0 {
-		usage()
-	}
-	var cmd string
-	if flag.NArg() == 1 {
-		cmd = flag.Arg(0)
-	}
-	experiments.SetWorkers(*workers)
-	codecAll, err := comm.CodecByName(*codec)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	codecBackward, err := comm.CodecByName(*codecBwd)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	experiments.SetCodec(codecAll, codecBackward)
-	experiments.SetLevelTimeout(*levelTimeout)
-	experiments.SetStragglerFactor(*stragglerFactor)
-	if *flightDump == "" && *traceOut != "" {
-		*flightDump = *traceOut + ".flight.json"
-	}
-	experiments.SetFlightDump(*flightDump)
-	experiments.SetCheckpoint(*checkpointEvery, *checkpointPath)
-	if *chaosPlan != "" {
-		plan, err := chaos.ParsePlan(*chaosPlan)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		experiments.SetChaos(&plan, 0)
-	} else if *chaosSeed != 0 {
-		experiments.SetChaos(nil, *chaosSeed)
-	}
-
-	var observer *obs.Observer
-	if *metrics || *traceOut != "" || *serveAddr != "" || *chromeOut != "" {
-		observer = obs.New()
-		// One shared recorder across the sweep so /debug/flight serves the
-		// whole black box, not just the last measurement's.
-		observer.Flight = obs.NewFlightRecorder(0)
-		experiments.SetObserver(observer)
-	}
-	if *chromeOut != "" {
-		observer.Spans = obs.NewSpanRecorder()
-	}
-	var server *obs.Server
-	if *serveAddr != "" {
-		observer.Progress = obs.NewProgressBroker()
-		var err error
-		server, err = obs.Serve(*serveAddr, observer)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "swbfs-bench: telemetry on %s (/metrics /traces /events /debug/pprof)\n", server.URL())
-	}
-
-	// Host-side profiling of the whole sweep (the same StartProfile hook
-	// cmd/graph500 wires around its kernel runs).
-	if *cpuprofile != "" || *exectrace != "" {
-		stop, err := obs.StartProfile(obs.ProfileConfig{CPUProfile: *cpuprofile, ExecTrace: *exectrace})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "swbfs-bench: stopping profile: %v\n", err)
-			}
-		}()
-	}
+	spec.Start()
 
 	fig11opts := experiments.Fig11Options{Seed: *seed, Roots: *roots}
 	fig12opts := experiments.Fig12Options{Seed: *seed, Roots: *roots}
@@ -159,18 +69,18 @@ func main() {
 		switch *format {
 		case "csv":
 			if err := t.WriteCSV(os.Stdout); err != nil {
-				fatalf("csv: %v", err)
+				spec.Fatal(fmt.Errorf("csv: %w", err))
 			}
 		case "json":
 			if err := t.WriteJSON(os.Stdout); err != nil {
-				fatalf("json: %v", err)
+				spec.Fatal(fmt.Errorf("json: %w", err))
 			}
 		default:
 			t.Print(os.Stdout)
 		}
 	}
 
-	run := func(name string) {
+	sweep := func(name string) {
 		switch name {
 		case "table1":
 			emit(experiments.Table1())
@@ -181,7 +91,7 @@ func main() {
 		case "regbus":
 			t, err := experiments.RegBus(0)
 			if err != nil {
-				fatalf("regbus: %v", err)
+				spec.Fatal(fmt.Errorf("regbus: %w", err))
 			}
 			emit(t)
 		case "relaybw":
@@ -189,22 +99,22 @@ func main() {
 		case "msgcount":
 			emit(experiments.MsgCount())
 		case "fig11":
-			emit(experiments.Fig11(fig11opts))
+			emit(experiments.Fig11(*spec, fig11opts))
 		case "fig12":
-			emit(experiments.Fig12(fig12opts))
+			emit(experiments.Fig12(*spec, fig12opts))
 		case "strong":
-			emit(experiments.StrongScaling(experiments.StrongOptions{Seed: *seed, Roots: *roots, Quick: *quick}))
+			emit(experiments.StrongScaling(*spec, experiments.StrongOptions{Seed: *seed, Roots: *roots, Quick: *quick}))
 		case "table2":
-			_, proj := experiments.Headline(headlineLog, *roots, *seed)
+			_, proj := experiments.Headline(*spec, headlineLog, *roots, *seed)
 			emit(experiments.Table2(proj))
 		case "ablations":
 			ablOpts := experiments.AblationOptions{Seed: *seed, Roots: *roots}
 			if *quick {
 				ablOpts.Scale = 13
 			}
-			t, err := experiments.Ablations(ablOpts)
+			t, err := experiments.Ablations(*spec, ablOpts)
 			if err != nil {
-				fatalf("ablations: %v", err)
+				spec.Fatal(fmt.Errorf("ablations: %w", err))
 			}
 			emit(t)
 		case "policy":
@@ -212,20 +122,20 @@ func main() {
 			if *quick {
 				polOpts.Scale = 12
 			}
-			t, err := experiments.PolicySweep(polOpts)
+			t, err := experiments.PolicySweep(*spec, polOpts)
 			if err != nil {
-				fatalf("policy: %v", err)
+				spec.Fatal(fmt.Errorf("policy: %w", err))
 			}
 			emit(t)
 		case "headline":
-			m, proj := experiments.Headline(headlineLog, *roots, *seed)
+			m, proj := experiments.Headline(*spec, headlineLog, *roots, *seed)
 			if m.Crashed() {
-				fatalf("headline measurement failed: %v", m.Err)
+				spec.Fatal(fmt.Errorf("headline measurement failed: %w", m.Err))
 			}
 			fmt.Printf("functional: %d nodes, %d vtx/node, %.3f GTEPS (measured)\n",
 				m.Nodes, m.PerNodeVertices, m.GTEPS)
 			if proj.Crashed() {
-				fatalf("projection failed: %v", proj.Err)
+				spec.Fatal(fmt.Errorf("projection failed: %w", proj.Err))
 			}
 			fmt.Printf("projected:  %d nodes, %.1f GTEPS (modelled)\n", proj.Nodes, proj.GTEPS)
 			fmt.Printf("paper:      40,768 nodes, 23755.7 GTEPS (measured on TaihuLight)\n")
@@ -234,139 +144,49 @@ func main() {
 		}
 	}
 
-	switch {
-	case *resumeFrom != "":
-		host := core.Config{
-			Workers:         *workers,
-			LevelTimeout:    *levelTimeout,
-			StragglerFactor: *stragglerFactor,
-			FlightDump:      *flightDump,
-			Obs:             observer,
-			CheckpointEvery: *checkpointEvery,
-			CheckpointPath:  *checkpointPath,
-		}
-		if *chaosPlan != "" {
-			plan, err := chaos.ParsePlan(*chaosPlan)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			host.Chaos = &plan
-		}
-		resumeBFS(*resumeFrom, *seed, *chaosSeed, host)
+	switch cmd := flag.Arg(0); {
+	case spec.Resume != "":
+		resumeBFS(spec, *seed)
 	case cmd == "all":
 		for _, name := range []string{
 			"table1", "fig3", "fig5", "regbus", "relaybw", "msgcount",
 			"fig11", "fig12", "strong", "table2", "headline", "ablations", "policy",
 		} {
-			run(name)
+			sweep(name)
 			fmt.Println()
 		}
 	default:
-		run(cmd)
+		sweep(cmd)
 	}
-
-	if observer != nil {
-		if *metrics {
-			fmt.Println()
-			observer.Metrics.WriteTable(os.Stdout)
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatalf("writing trace: %v", err)
-			}
-			if err := observer.Trace.WriteJSON(f); err != nil {
-				f.Close()
-				fatalf("writing trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("writing trace: %v", err)
-			}
-		}
-		if *chromeOut != "" {
-			f, err := os.Create(*chromeOut)
-			if err != nil {
-				fatalf("writing chrome trace: %v", err)
-			}
-			if err := obs.WriteChromeTrace(f, observer.Trace.Runs(), observer.Spans.Runs()); err != nil {
-				f.Close()
-				fatalf("writing chrome trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("writing chrome trace: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "swbfs-bench: chrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *chromeOut)
-		}
-	}
-	if server != nil {
-		fmt.Fprintf(os.Stderr, "swbfs-bench: sweep done; telemetry still on %s — Ctrl-C to exit\n", server.URL())
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-		server.Close()
-	}
+	spec.Finish()
 }
 
 // resumeBFS continues an interrupted functional BFS run from a
 // level-boundary checkpoint file (see docs/CHAOS.md "Checkpoint &
 // resume"). The Kronecker graph is rebuilt from -seed and the
 // checkpoint's vertex count — the checkpoint's machine fingerprint
-// rejects a mismatched graph — and the machine configuration comes from
-// the checkpoint itself; only host-side knobs (workers, watchdog,
-// observability, chaos, further checkpointing) come from the command
-// line. The finished run is bitwise identical to an uninterrupted one.
-func resumeBFS(path string, seed, chaosSeed int64, host core.Config) {
-	c, err := ckpt.ReadFile(path)
+// rejects a mismatched graph. The finished run is bitwise identical to an
+// uninterrupted one.
+func resumeBFS(spec *runspec.Spec, seed int64) {
+	c, cfg, err := spec.OpenResume()
 	if err != nil {
-		fatalf("%v", err)
-	}
-	if c.Kernel != "bfs" {
-		fatalf("checkpoint %s holds a %q run; swbfs-bench -resume supports the bfs kernel (resume other kernels via the algos API)", path, c.Kernel)
+		spec.Fatal(err)
 	}
 	n := c.Config.GraphN
 	if n <= 0 || n&(n-1) != 0 {
-		fatalf("checkpoint vertex count %d is not a power of two — not a swbfs-bench Kronecker run", n)
+		spec.Fatal(fmt.Errorf("checkpoint vertex count %d is not a power of two — not a swbfs-bench Kronecker run", n))
 	}
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: bits.TrailingZeros64(uint64(n)), Seed: seed})
 	if err != nil {
-		fatalf("%v", err)
+		spec.Fatal(err)
 	}
-
-	cfg, err := core.ConfigFromCheckpoint(c.Config)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cfg.Workers = host.Workers
-	cfg.LevelTimeout = host.LevelTimeout
-	cfg.StragglerFactor = host.StragglerFactor
-	cfg.FlightDump = host.FlightDump
-	cfg.Obs = host.Obs
-	cfg.CheckpointEvery = host.CheckpointEvery
-	cfg.CheckpointPath = host.CheckpointPath
-	if host.Chaos != nil {
-		cfg.Chaos = host.Chaos
-	} else if chaosSeed != 0 {
-		plan := chaos.NewRandomPlan(chaosSeed, cfg.Nodes)
-		cfg.Chaos = &plan
-	}
-
 	runner, err := core.NewRunner(cfg, g)
 	if err != nil {
-		fatalf("%v", err)
+		spec.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "swbfs-bench: resuming bfs from root %d at level boundary %d (%s)\n", c.Root, c.Level, path)
 	res, err := runner.Resume(c)
 	if err != nil {
-		var ae *core.AbortError
-		if errors.As(err, &ae) {
-			fmt.Fprintf(os.Stderr, "swbfs-bench: resumed run ABORTED: %v\n", ae.Cause)
-			if ae.CheckpointPath != "" {
-				fmt.Fprintf(os.Stderr, "swbfs-bench: checkpoint at level boundary %d written to %s (continue with -resume)\n",
-					ae.Checkpoint.Level, ae.CheckpointPath)
-			}
-			os.Exit(1)
-		}
-		fatalf("resume failed: %v", err)
+		spec.Fatal(fmt.Errorf("resume failed: %w", err))
 	}
 	fmt.Printf("resumed bfs: root %d, %d vertices, visited %d, traversed %d edges, %d levels, %.3f GTEPS (modelled)\n",
 		c.Root, g.N, res.Visited, res.TraversedEdges, len(res.Levels), res.GTEPS)
@@ -376,9 +196,4 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: swbfs-bench [-quick|-full] [-seed N] [-roots N] [-format text|csv|json] <table1|fig3|fig5|regbus|relaybw|msgcount|fig11|fig12|strong|table2|headline|ablations|policy|all>")
 	fmt.Fprintln(os.Stderr, "       swbfs-bench -resume <ckpt.json> [-seed N]")
 	os.Exit(2)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "swbfs-bench: "+format+"\n", args...)
-	os.Exit(1)
 }

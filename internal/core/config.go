@@ -183,12 +183,6 @@ type Config struct {
 	// every Run: accumulated metrics in Obs.Metrics and one per-level
 	// RunTrace per root in Obs.Trace. Nil disables at zero cost.
 	Obs *obs.Observer
-
-	// Profile is the opt-in host-side pprof / runtime-trace hook: it
-	// profiles the simulator process, not the modelled machine. The
-	// Graph500 harness (and the CLIs' -cpuprofile / -exec-trace flags)
-	// start it around the kernel runs.
-	Profile obs.ProfileConfig
 }
 
 // PartitionStrategy selects the 1-D vertex-to-node layout.

@@ -8,6 +8,7 @@ import (
 	"swbfs/internal/graph"
 	"swbfs/internal/graph500"
 	"swbfs/internal/perf"
+	"swbfs/internal/runspec"
 )
 
 // AblationOptions scales the ablation study.
@@ -38,8 +39,9 @@ func (o AblationOptions) withDefaults() AblationOptions {
 // Ablations measures each design choice DESIGN.md calls out, toggled on
 // the production configuration: direction optimization, hub prefetch, the
 // small-message MPE fast path, message compression (the Section 7
-// extension) and the partition strategy.
-func Ablations(opts AblationOptions) (*Table, error) {
+// extension) and the partition strategy. Every variant runs under spec;
+// the compression variant sets its own codec on top.
+func Ablations(spec runspec.Spec, opts AblationOptions) (*Table, error) {
 	opts = opts.withDefaults()
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
@@ -50,11 +52,7 @@ func Ablations(opts AblationOptions) (*Table, error) {
 		return nil, err
 	}
 
-	base := func() core.Config {
-		cfg := core.DefaultConfig(opts.Nodes)
-		cfg.SuperNodeSize = scaledSuperNodeSize
-		return cfg
-	}
+	base := func() core.Config { return spec.Apply(scaledConfig(opts.Nodes)) }
 
 	type variant struct {
 		name string
@@ -79,34 +77,18 @@ func Ablations(opts AblationOptions) (*Table, error) {
 	}
 	var baseline float64
 	for i, v := range variants {
-		runner, err := core.NewRunner(v.cfg, g)
-		if err != nil {
-			t.AddRow(v.name, "CRASH", "-", "-")
-			continue
-		}
-		var invSum float64
 		var netBytes int64
-		ok := true
-		for _, root := range roots {
-			res, err := runner.Run(root)
-			if err != nil {
-				t.AddRow(v.name, "CRASH", "-", "-")
-				ok = false
-				break
-			}
-			if res.GTEPS > 0 {
-				invSum += 1 / res.GTEPS
-			}
+		gteps, err := harmonicGTEPS(v.cfg, g, roots, func(_ int, res *core.Result) {
 			for _, l := range res.Levels {
 				for _, b := range l.Net.Bytes {
 					netBytes += b
 				}
 			}
-		}
-		if !ok {
+		})
+		if err != nil {
+			t.AddRow(v.name, "CRASH", "-", "-")
 			continue
 		}
-		gteps := float64(len(roots)) / invSum
 		if i == 0 {
 			baseline = gteps
 		}

@@ -3,105 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
-	"swbfs/internal/chaos"
-	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/graph500"
-	"swbfs/internal/obs"
 	"swbfs/internal/perf"
+	"swbfs/internal/runspec"
 )
-
-// sharedObserver, when set, is attached to every functional measurement
-// so sweep drivers (cmd/swbfs-bench) can expose -metrics / -trace-out.
-var sharedObserver *obs.Observer
-
-// SetObserver attaches an observability sink to all subsequent
-// measurements. Pass nil to detach. Not safe to call concurrently with
-// running measurements.
-func SetObserver(o *obs.Observer) { sharedObserver = o }
-
-// sharedWorkers is the per-node worker-pool width of all functional
-// measurements (0 = core's default). Every modelled number is
-// bit-identical across widths, so sweeps stay comparable either way.
-var sharedWorkers int
-
-// SetWorkers fixes the worker-pool width of all subsequent
-// measurements. Not safe to call concurrently with running measurements.
-func SetWorkers(k int) { sharedWorkers = k }
-
-// sharedChaosPlan / sharedChaosSeed arm fault injection for functional
-// measurements; sharedLevelTimeout and sharedStragglerFactor configure
-// the matching recovery/detection knobs (see docs/CHAOS.md).
-var (
-	sharedChaosPlan       *chaos.Plan
-	sharedChaosSeed       int64
-	sharedLevelTimeout    time.Duration
-	sharedStragglerFactor float64
-)
-
-// SetChaos arms fault injection for all subsequent measurements: a
-// non-nil plan is used verbatim; otherwise a non-zero seed derives a
-// fresh random plan per measurement (node counts vary across a sweep,
-// and plan node IDs must stay in range). Pass (nil, 0) to disarm. Not
-// safe to call concurrently with running measurements.
-func SetChaos(plan *chaos.Plan, seed int64) {
-	sharedChaosPlan, sharedChaosSeed = plan, seed
-}
-
-// SetLevelTimeout arms the per-level watchdog of all subsequent
-// measurements (0 disables it). Not safe to call concurrently with
-// running measurements.
-func SetLevelTimeout(d time.Duration) { sharedLevelTimeout = d }
-
-// SetStragglerFactor sets the straggler-detection threshold of all
-// subsequent measurements (0 disables detection). Not safe to call
-// concurrently with running measurements.
-func SetStragglerFactor(f float64) { sharedStragglerFactor = f }
-
-// sharedFlightDump is where an aborted measurement writes its
-// flight-recorder post-mortem ("" = in-memory only).
-var sharedFlightDump string
-
-// SetFlightDump sets the post-mortem dump path of all subsequent
-// measurements (the -flight-dump flag; "" disables the file write). Not
-// safe to call concurrently with running measurements.
-func SetFlightDump(path string) { sharedFlightDump = path }
-
-// sharedCheckpointEvery / sharedCheckpointPath arm level-boundary
-// checkpointing for functional measurements (see docs/CHAOS.md
-// "Checkpoint & resume").
-var (
-	sharedCheckpointEvery int
-	sharedCheckpointPath  string
-)
-
-// SetCheckpoint arms level-boundary checkpointing for all subsequent
-// measurements: every N completed levels the machine state is staged (and
-// written to path when non-empty; an abort also writes the newest
-// boundary next to the flight dump). every = 0 disables checkpointing.
-// Checkpointing changes no modelled number — the run's result is
-// bit-identical either way. Not safe to call concurrently with running
-// measurements.
-func SetCheckpoint(every int, path string) {
-	sharedCheckpointEvery, sharedCheckpointPath = every, path
-}
-
-// sharedCodec / sharedCodecBackward select the wire codecs of all
-// functional measurements (nil = raw identity encoding; backward overrides
-// the run-wide codec on the backward channel only).
-var (
-	sharedCodec         comm.Codec
-	sharedCodecBackward comm.Codec
-)
-
-// SetCodec selects the wire codecs for subsequent measurements. Not safe
-// to call concurrently with running measurements.
-func SetCodec(codec, backward comm.Codec) {
-	sharedCodec, sharedCodecBackward = codec, backward
-}
 
 // scaledSuperNodeSize is the super-node size of scaled-down functional
 // runs: small enough that even modest node counts exercise the central
@@ -127,10 +35,11 @@ type Measurement struct {
 // Crashed reports whether the simulated machine failed.
 func (m *Measurement) Crashed() bool { return m.Err != nil }
 
-// MeasureBFS runs the configuration functionally: a Kronecker graph with
-// 2^perNodeLog vertices per node, `roots` BFS runs, harmonic-mean GTEPS.
-// nodes must be a power of two so weak-scaling graph sizes stay exact.
-func MeasureBFS(nodes, perNodeLog int, transport core.Transport, engine perf.Engine, roots int, seed int64) *Measurement {
+// MeasureBFS runs the configuration functionally under the run spec: a
+// Kronecker graph with 2^perNodeLog vertices per node, `roots` BFS runs,
+// harmonic-mean GTEPS. nodes must be a power of two so weak-scaling graph
+// sizes stay exact.
+func MeasureBFS(spec runspec.Spec, nodes, perNodeLog int, transport core.Transport, engine perf.Engine, roots int, seed int64) *Measurement {
 	m := &Measurement{
 		Nodes:           nodes,
 		PerNodeVertices: int64(1) << uint(perNodeLog),
@@ -146,37 +55,10 @@ func MeasureBFS(nodes, perNodeLog int, transport core.Transport, engine perf.Eng
 	}
 	scale := perNodeLog + bits.TrailingZeros(uint(nodes))
 
-	cfg := core.Config{
-		Nodes:              nodes,
-		SuperNodeSize:      scaledSuperNodeSize,
-		Transport:          transport,
-		Engine:             engine,
-		DirectionOptimized: true,
-		HubPrefetch:        true,
-		SmallMessageMPE:    true,
-		Workers:            sharedWorkers,
-		Obs:                sharedObserver,
-		LevelTimeout:       sharedLevelTimeout,
-		StragglerFactor:    sharedStragglerFactor,
-		FlightDump:         sharedFlightDump,
-		CheckpointEvery:    sharedCheckpointEvery,
-		CheckpointPath:     sharedCheckpointPath,
-		Codec:              sharedCodec,
-		CodecBackward:      sharedCodecBackward,
-	}
-	if sharedChaosPlan != nil {
-		cfg.Chaos = sharedChaosPlan
-	} else if sharedChaosSeed != 0 {
-		plan := chaos.NewRandomPlan(sharedChaosSeed, nodes)
-		cfg.Chaos = &plan
-	}
+	cfg := scaledConfig(nodes)
+	cfg.Transport, cfg.Engine = transport, engine
 
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: scale, Seed: seed})
-	if err != nil {
-		m.Err = err
-		return m
-	}
-	runner, err := core.NewRunner(cfg, g)
 	if err != nil {
 		m.Err = err
 		return m
@@ -186,24 +68,47 @@ func MeasureBFS(nodes, perNodeLog int, transport core.Transport, engine perf.Eng
 		m.Err = err
 		return m
 	}
-
-	var invSum float64
-	for i, root := range rootList {
-		res, err := runner.Run(root)
-		if err != nil {
-			m.Err = err
-			return m
-		}
-		if res.GTEPS > 0 {
-			invSum += 1 / res.GTEPS
-		}
+	m.GTEPS, m.Err = harmonicGTEPS(spec.Apply(cfg), g, rootList, func(i int, res *core.Result) {
 		if i == 0 {
 			m.Edges = res.TraversedEdges
 			m.Levels = res.Levels
 		}
-	}
-	if invSum > 0 {
-		m.GTEPS = float64(len(rootList)) / invSum
-	}
+	})
 	return m
+}
+
+// scaledConfig is the production configuration (core.DefaultConfig) on
+// the scaled-down super-node size every functional sweep uses.
+func scaledConfig(nodes int) core.Config {
+	cfg := core.DefaultConfig(nodes)
+	cfg.SuperNodeSize = scaledSuperNodeSize
+	return cfg
+}
+
+// harmonicGTEPS runs every root on one runner for cfg and returns the
+// harmonic-mean GTEPS over all roots (a root with zero GTEPS adds nothing
+// to the sum but still counts), handing each result to each (may be nil)
+// for the caller's own tallies. The first failure ends the measurement.
+func harmonicGTEPS(cfg core.Config, g *graph.CSR, roots []graph.Vertex, each func(i int, res *core.Result)) (float64, error) {
+	runner, err := core.NewRunner(cfg, g)
+	if err != nil {
+		return 0, err
+	}
+	var invSum float64
+	for i, root := range roots {
+		res, err := runner.Run(root)
+		if err != nil {
+			return 0, err
+		}
+		if res.GTEPS > 0 {
+			invSum += 1 / res.GTEPS
+		}
+		if each != nil {
+			each(i, res)
+		}
+	}
+	if invSum == 0 {
+		return 0, nil
+	}
+	return float64(len(roots)) / invSum, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"swbfs/internal/core"
 	"swbfs/internal/perf"
+	"swbfs/internal/runspec"
 )
 
 func TestTableRender(t *testing.T) {
@@ -135,7 +136,7 @@ func TestMsgCountTable(t *testing.T) {
 }
 
 func TestMeasureBFSSmall(t *testing.T) {
-	m := MeasureBFS(4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
+	m := MeasureBFS(runspec.Spec{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
 	if m.Crashed() {
 		t.Fatalf("measurement crashed: %v", m.Err)
 	}
@@ -145,14 +146,14 @@ func TestMeasureBFSSmall(t *testing.T) {
 }
 
 func TestMeasureBFSRejectsNonPow2(t *testing.T) {
-	m := MeasureBFS(3, 8, core.TransportDirect, perf.EngineMPE, 1, 1)
+	m := MeasureBFS(runspec.Spec{}, 3, 8, core.TransportDirect, perf.EngineMPE, 1, 1)
 	if !m.Crashed() {
 		t.Fatal("non-power-of-two accepted")
 	}
 }
 
 func TestProjectionMonotoneAndCrashes(t *testing.T) {
-	m := MeasureBFS(4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
+	m := MeasureBFS(runspec.Spec{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
 	if m.Crashed() {
 		t.Fatal(m.Err)
 	}
@@ -169,14 +170,14 @@ func TestProjectionMonotoneAndCrashes(t *testing.T) {
 	}
 
 	// Direct transports must crash at the paper's crash points.
-	d := MeasureBFS(4, 8, core.TransportDirect, perf.EngineCPE, 2, 7)
+	d := MeasureBFS(runspec.Spec{}, 4, 8, core.TransportDirect, perf.EngineCPE, 2, 7)
 	if d.Crashed() {
 		t.Fatal(d.Err)
 	}
 	if p := Project(d, 1024); !p.Crashed() || !isSPMError(p.Err) {
 		t.Fatalf("Direct CPE at 1024 nodes should crash with SPM: %+v", p)
 	}
-	dm := MeasureBFS(4, 8, core.TransportDirect, perf.EngineMPE, 2, 7)
+	dm := MeasureBFS(runspec.Spec{}, 4, 8, core.TransportDirect, perf.EngineMPE, 2, 7)
 	if dm.Crashed() {
 		t.Fatal(dm.Err)
 	}
@@ -201,12 +202,12 @@ func TestProjectionCrossValidates(t *testing.T) {
 		{core.TransportRelay, perf.EngineCPE},
 		{core.TransportDirect, perf.EngineMPE},
 	} {
-		m4 := MeasureBFS(4, 11, cfg.tr, cfg.en, 2, 5)
+		m4 := MeasureBFS(runspec.Spec{}, 4, 11, cfg.tr, cfg.en, 2, 5)
 		if m4.Crashed() {
 			t.Fatal(m4.Err)
 		}
 		for _, target := range []int{16, 64} {
-			measured := MeasureBFS(target, 11, cfg.tr, cfg.en, 2, 5)
+			measured := MeasureBFS(runspec.Spec{}, target, 11, cfg.tr, cfg.en, 2, 5)
 			if measured.Crashed() {
 				t.Fatal(measured.Err)
 			}
@@ -224,7 +225,7 @@ func TestProjectionCrossValidates(t *testing.T) {
 }
 
 func TestFig11TinyShape(t *testing.T) {
-	tab := Fig11(Fig11Options{
+	tab := Fig11(runspec.Spec{}, Fig11Options{
 		FunctionalNodes: []int{1, 4},
 		ProjectedNodes:  []int{1024, 16384},
 		PerNodeLog:      13,
@@ -261,7 +262,7 @@ func TestFig11TinyShape(t *testing.T) {
 }
 
 func TestFig12TinyShape(t *testing.T) {
-	tab := Fig12(Fig12Options{
+	tab := Fig12(runspec.Spec{}, Fig12Options{
 		PerNodeLogs:     []int{7, 9},
 		FunctionalNodes: []int{4},
 		ProjectedNodes:  []int{256},
@@ -292,7 +293,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestAblationsTiny(t *testing.T) {
-	tab, err := Ablations(AblationOptions{Nodes: 4, Scale: 11, Roots: 1, Seed: 9})
+	tab, err := Ablations(runspec.Spec{}, AblationOptions{Nodes: 4, Scale: 11, Roots: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestAblationsTiny(t *testing.T) {
 }
 
 func TestPolicySweepTiny(t *testing.T) {
-	tab, err := PolicySweep(PolicySweepOptions{
+	tab, err := PolicySweep(runspec.Spec{}, PolicySweepOptions{
 		Nodes: 4, Scale: 11, Roots: 1, Seed: 9,
 		Alphas: []float64{2, 14}, Betas: []float64{24},
 	})
@@ -332,7 +333,7 @@ func TestPolicySweepTiny(t *testing.T) {
 }
 
 func TestHeadlineTiny(t *testing.T) {
-	m, p := Headline(7, 1, 11)
+	m, p := Headline(runspec.Spec{}, 7, 1, 11)
 	if m.Crashed() {
 		t.Fatalf("headline measurement crashed: %v", m.Err)
 	}

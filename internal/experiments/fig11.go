@@ -5,6 +5,7 @@ import (
 
 	"swbfs/internal/core"
 	"swbfs/internal/perf"
+	"swbfs/internal/runspec"
 )
 
 // Fig11Options scales the technique-comparison sweep.
@@ -59,11 +60,11 @@ var fig11Configs = []fig11Config{
 }
 
 // Fig11 reproduces the performance comparison of techniques: GTEPS per
-// node count for Direct/Relay x MPE/CPE. Expected shape, per the paper:
+// node count for Direct/Relay x MPE/CPE, every functional run under spec. Expected shape, per the paper:
 // CPE rows ~10x their MPE counterparts; Direct CPE crashes past 256 nodes
 // (SPM); Direct MPE flattens with scale and crashes at 16,384 nodes (MPI
 // memory); Relay CPE scales to the whole machine.
-func Fig11(opts Fig11Options) *Table {
+func Fig11(spec runspec.Spec, opts Fig11Options) *Table {
 	opts = opts.withDefaults()
 	t := &Table{
 		ID:     "fig11",
@@ -78,7 +79,7 @@ func Fig11(opts Fig11Options) *Table {
 	for _, nodes := range opts.FunctionalNodes {
 		row := []string{fmt.Sprint(nodes)}
 		for _, cfg := range fig11Configs {
-			m := MeasureBFS(nodes, opts.PerNodeLog, cfg.transport, cfg.engine, opts.Roots, opts.Seed)
+			m := MeasureBFS(spec, nodes, opts.PerNodeLog, cfg.transport, cfg.engine, opts.Roots, opts.Seed)
 			if m.Crashed() {
 				row = append(row, crashCell(m.Err))
 				continue

@@ -7,6 +7,7 @@ import (
 	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/perf"
+	"swbfs/internal/runspec"
 	"swbfs/internal/sw"
 )
 
@@ -56,11 +57,11 @@ func (o Fig12Options) withDefaults() Fig12Options {
 
 // Fig12 reproduces the weak-scaling study: GTEPS versus node count for
 // three per-node problem sizes, on the production configuration
-// (Relay + CPE). The paper's shape: near-linear scaling, with the curves
-// separating as the node count grows — at full scale each 4x-larger
-// per-node size is worth ~4x the GTEPS because small sizes are latency
-// dominated.
-func Fig12(opts Fig12Options) *Table {
+// (Relay + CPE), every functional run under spec. The paper's shape:
+// near-linear scaling, with the curves separating as the node count grows
+// — at full scale each 4x-larger per-node size is worth ~4x the GTEPS
+// because small sizes are latency dominated.
+func Fig12(spec runspec.Spec, opts Fig12Options) *Table {
 	opts = opts.withDefaults()
 	header := []string{"nodes"}
 	for _, l := range opts.PerNodeLogs {
@@ -79,7 +80,7 @@ func Fig12(opts Fig12Options) *Table {
 	for _, nodes := range opts.FunctionalNodes {
 		row := []string{fmt.Sprint(nodes)}
 		for _, l := range opts.PerNodeLogs {
-			m := MeasureBFS(nodes, l, core.TransportRelay, perf.EngineCPE, opts.Roots, opts.Seed)
+			m := MeasureBFS(spec, nodes, l, core.TransportRelay, perf.EngineCPE, opts.Roots, opts.Seed)
 			if m.Crashed() {
 				row = append(row, crashCell(m.Err))
 				continue

@@ -6,6 +6,7 @@ import (
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/graph500"
+	"swbfs/internal/runspec"
 )
 
 // PolicySweepOptions scales the direction-policy sensitivity study.
@@ -44,8 +45,8 @@ func (o PolicySweepOptions) withDefaults() PolicySweepOptions {
 // thresholds: GTEPS and bottom-up level counts across the grid, with the
 // top-down-only baseline for reference. The broad flatness around the
 // defaults (and the gap to the baseline) is what makes the heuristic
-// practical.
-func PolicySweep(opts PolicySweepOptions) (*Table, error) {
+// practical. Every cell runs under spec.
+func PolicySweep(spec runspec.Spec, opts PolicySweepOptions) (*Table, error) {
 	opts = opts.withDefaults()
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
@@ -63,29 +64,16 @@ func PolicySweep(opts PolicySweepOptions) (*Table, error) {
 	}
 
 	measure := func(cfg core.Config) (gteps float64, bu, lv int, err error) {
-		runner, err := core.NewRunner(cfg, g)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		var invSum float64
-		for _, root := range roots {
-			res, err := runner.Run(root)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			if res.GTEPS > 0 {
-				invSum += 1 / res.GTEPS
-			}
+		gteps, err = harmonicGTEPS(spec.Apply(cfg), g, roots, func(_ int, res *core.Result) {
 			bu += res.BottomUpLevels
 			lv += len(res.Levels)
-		}
-		return float64(len(roots)) / invSum, bu, lv, nil
+		})
+		return gteps, bu, lv, err
 	}
 
 	for _, alpha := range opts.Alphas {
 		for _, beta := range opts.Betas {
-			cfg := core.DefaultConfig(opts.Nodes)
-			cfg.SuperNodeSize = scaledSuperNodeSize
+			cfg := scaledConfig(opts.Nodes)
 			cfg.Alpha, cfg.Beta = alpha, beta
 			gteps, bu, lv, err := measure(cfg)
 			if err != nil {
@@ -96,8 +84,7 @@ func PolicySweep(opts PolicySweepOptions) (*Table, error) {
 		}
 	}
 	// Top-down baseline.
-	cfg := core.DefaultConfig(opts.Nodes)
-	cfg.SuperNodeSize = scaledSuperNodeSize
+	cfg := scaledConfig(opts.Nodes)
 	cfg.DirectionOptimized = false
 	gteps, bu, lv, err := measure(cfg)
 	if err != nil {

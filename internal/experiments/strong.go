@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 
-	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/graph500"
-	"swbfs/internal/perf"
+	"swbfs/internal/runspec"
 )
 
 // StrongOptions scales the strong-scaling study.
@@ -52,8 +51,8 @@ func (o StrongOptions) withDefaults() StrongOptions {
 // floor — the very mechanism the paper cites for Figure 12's curve
 // separation ("when data size is small ... the high latency is the main
 // reason for inefficiency"). Efficiency is the fraction of ideal speedup
-// retained relative to the first row.
-func StrongScaling(opts StrongOptions) *Table {
+// retained relative to the first row. Every functional run is under spec.
+func StrongScaling(spec runspec.Spec, opts StrongOptions) *Table {
 	opts = opts.withDefaults()
 	t := &Table{
 		ID:     "strong",
@@ -77,38 +76,11 @@ func StrongScaling(opts StrongOptions) *Table {
 			t.AddRow(fmt.Sprint(nodes), "skip (not a power of two)", "-", "-")
 			continue
 		}
-		cfg := core.Config{
-			Nodes:              nodes,
-			SuperNodeSize:      scaledSuperNodeSize,
-			Transport:          core.TransportRelay,
-			Engine:             perf.EngineCPE,
-			DirectionOptimized: true,
-			HubPrefetch:        true,
-			SmallMessageMPE:    true,
-			Workers:            sharedWorkers,
-		}
-		runner, err := core.NewRunner(cfg, g)
+		gteps, err := harmonicGTEPS(spec.Apply(scaledConfig(nodes)), g, roots, nil)
 		if err != nil {
 			t.AddRow(fmt.Sprint(nodes), crashCell(err), "-", "-")
 			continue
 		}
-		var invSum float64
-		failed := false
-		for _, root := range roots {
-			res, err := runner.Run(root)
-			if err != nil {
-				t.AddRow(fmt.Sprint(nodes), crashCell(err), "-", "-")
-				failed = true
-				break
-			}
-			if res.GTEPS > 0 {
-				invSum += 1 / res.GTEPS
-			}
-		}
-		if failed {
-			continue
-		}
-		gteps := float64(len(roots)) / invSum
 		if base == 0 {
 			base = gteps
 		}

@@ -28,8 +28,9 @@
 //   - Serve exposes everything over HTTP: /metrics (Prometheus text
 //     exposition), /traces (RunTrace JSON), /events (SSE) and
 //     net/http/pprof.
-//   - StartProfile is the opt-in host-side pprof / runtime-trace hook,
-//     enabled through core.Config.Profile and the CLI flags.
+//   - StartProfile is the opt-in host-side pprof / runtime-trace hook.
+//     The CLIs' -cpuprofile / -exec-trace flags (internal/runspec) start
+//     it around the whole command.
 //
 // Producers hold an *Observer (core.Config.Obs); a nil Observer — or a
 // nil field inside it — disables that part at zero cost.

@@ -135,25 +135,12 @@ func runScenario(spec ScenarioSpec, seed int64) (Scenario, error) {
 		return Scenario{}, err
 	}
 	observer := obs.New()
-	machine := core.Config{
-		Nodes:              spec.Nodes,
-		SuperNodeSize:      spec.SuperSize,
-		Transport:          spec.Transport,
-		Engine:             spec.Engine,
-		DirectionOptimized: true,
-		HubPrefetch:        true,
-		SmallMessageMPE:    true,
-		// Worker pools leave every modelled number bit-identical, so a
-		// fixed width keeps snapshots comparable while exercising the
-		// parallel paths; only host_seconds can move with it.
-		Workers: 4,
-		Obs:     observer,
-		// In-memory level-boundary checkpointing (no CheckpointPath, so
-		// nothing hits disk). Zero for every scenario but the -ckpt twin.
-		CheckpointEvery: spec.CheckpointEvery,
-		Codec:           codec,
-		CodecBackward:   codecBackward,
-	}
+	machine := scenarioMachine(spec)
+	machine.Obs = observer
+	// In-memory level-boundary checkpointing (no CheckpointPath, so
+	// nothing hits disk). Zero for every scenario but the -ckpt twin.
+	machine.CheckpointEvery = spec.CheckpointEvery
+	machine.Codec, machine.CodecBackward = codec, codecBackward
 	hostStart := time.Now()
 	report, err := graph500.Run(graph500.BenchConfig{
 		Scale:      spec.Scale,
@@ -217,6 +204,18 @@ func runScenario(spec ScenarioSpec, seed int64) (Scenario, error) {
 	return sc, nil
 }
 
+// scenarioMachine is the production configuration (core.DefaultConfig)
+// on the scenario's machine shape. Worker pools leave every modelled
+// number bit-identical, so a fixed width keeps snapshots comparable while
+// exercising the parallel paths; only host_seconds can move with it.
+func scenarioMachine(spec ScenarioSpec) core.Config {
+	machine := core.DefaultConfig(spec.Nodes)
+	machine.SuperNodeSize = spec.SuperSize
+	machine.Transport, machine.Engine = spec.Transport, spec.Engine
+	machine.Workers = 4
+	return machine
+}
+
 // runKernelScenario runs one rootless kernel to its fixpoint and fills
 // the scenario from the run's own accounting (RunInfo carries the
 // modelled totals directly, so no observer is needed).
@@ -225,16 +224,7 @@ func runKernelScenario(spec ScenarioSpec, seed int64) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	machine := core.Config{
-		Nodes:              spec.Nodes,
-		SuperNodeSize:      spec.SuperSize,
-		Transport:          spec.Transport,
-		Engine:             spec.Engine,
-		DirectionOptimized: true,
-		HubPrefetch:        true,
-		SmallMessageMPE:    true,
-		Workers:            4,
-	}
+	machine := scenarioMachine(spec)
 	hostStart := time.Now()
 	var info *algos.RunInfo
 	switch spec.Kernel {
